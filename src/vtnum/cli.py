@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -58,6 +59,7 @@ from .families import (
     twin_pair,
 )
 from .scanner import (
+    _CSV_HEADER,
     CheckpointError,
     VtRecord,
     checkpoint_resume,
@@ -70,8 +72,6 @@ from .scanner import (
 )
 
 __all__ = ["emit", "dispatch", "main"]
-
-_CSV_HEADER = b"n,t,pc,vt\n"
 
 
 def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
@@ -126,10 +126,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _checkpoint_file(path: str) -> Iterator[None]:
+    """Report an unusable checkpoint path as bad input, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     resume = None
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
-        resume = checkpoint_resume(args.checkpoint)
+        with _checkpoint_file(args.checkpoint):
+            resume = checkpoint_resume(args.checkpoint)
     out = sys.stdout.buffer
     last_state = resume
     for block in stream_scan(
@@ -138,7 +148,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         out.write(block.payload)
         if args.checkpoint is not None:
             out.flush()
-            checkpoint_save(block.checkpoint, args.checkpoint)
+            with _checkpoint_file(args.checkpoint):
+                checkpoint_save(block.checkpoint, args.checkpoint)
         last_state = block.checkpoint
     out.flush()
     if args.checkpoint is not None and os.path.exists(args.checkpoint):

@@ -73,6 +73,8 @@ _SMALL_TRIANGULAR = (1, 3, 6, 10, 15, 21, 28, 36, 45, 55)
 _VT_BY_POPCOUNT = np.zeros(65, dtype=bool)
 _VT_BY_POPCOUNT[list(_SMALL_TRIANGULAR)] = True
 
+_FORMATS = ("jsonl", "csv")
+
 
 @dataclass(frozen=True)
 class VtRecord:
@@ -135,7 +137,7 @@ class ScanSummary:
         return (self.lo, self.hi)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,11 @@ class ScanCheckpoint:
     ``current_t`` is the incremental accumulator t_(next-1) (0 when
     next == lo == 1), stored so a loader can detect state corruption by
     recomputing it.  ``open_run`` is the (start, length so far) of a run
-    still open at the frontier, if any.
+    still open at the frontier, if any.  ``fmt`` names the byte stream
+    the checkpoint continues ("jsonl" or "csv", default jsonl as in
+    :func:`stream_scan`); it is None for checkpoints written by
+    :func:`scan` and :func:`resume_scan`, whose records go to a callback
+    rather than a byte stream.
     """
 
     format_version: int
@@ -155,6 +161,7 @@ class ScanCheckpoint:
     vt_count: int
     open_run: tuple[int, int] | None
     current_t: int
+    fmt: str | None = "jsonl"
 
 
 class CheckpointError(Exception):
@@ -177,6 +184,7 @@ def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) 
     """Write a checkpoint atomically (temp file in place, then rename)."""
     payload = {
         "format_version": state.format_version,
+        "fmt": state.fmt,
         "lo": state.lo,
         "hi": state.hi,
         "next": state.next,
@@ -198,7 +206,8 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
     """Load and validate a checkpoint written by :func:`checkpoint_save`.
 
     Raises :class:`CheckpointVersionError` for an unsupported
-    format_version, :class:`CheckpointCorruptError` for a malformed
+    format_version (version 1 files, which predate ``fmt``, included),
+    :class:`CheckpointCorruptError` for a malformed
     document, and :class:`CheckpointStateError` when the fields parse
     but are mutually inconsistent (including a ``current_t`` that does
     not match the recomputed t_(next-1)).
@@ -225,6 +234,10 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
             raise CheckpointCorruptError(f"checkpoint field {name!r} must be an integer")
         return value
 
+    if "fmt" not in payload or payload["fmt"] not in (*_FORMATS, None):
+        raise CheckpointCorruptError(
+            "checkpoint field 'fmt' must be \"jsonl\", \"csv\" or null"
+        )
     lo = _int_field("lo")
     hi = _int_field("hi")
     nxt = _int_field("next")
@@ -282,6 +295,7 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
         vt_count=vt_count,
         open_run=open_run,
         current_t=current_t,
+        fmt=payload["fmt"],
     )
 
 
@@ -302,7 +316,7 @@ class _Chunk:
 
     @property
     def vt_count(self) -> int:
-        return int(self.vts.sum())
+        return int(np.count_nonzero(self.vts))
 
     def rows(self) -> tuple[list[int], list[int], list[int], list[bool]]:
         ns = self.ns.tolist() if isinstance(self.ns, np.ndarray) else list(self.ns)
@@ -392,80 +406,112 @@ def _iter_chunks(
 # Run tracking
 
 
-class _RunTracker:
-    """Joins per-chunk classification masks into maximal runs.
+def _leading_true(v: np.ndarray) -> int:
+    """Length of the all-True prefix of a non-empty mask."""
+    first_false = int(v.argmin())
+    return v.size if v[first_false] else first_false
 
-    Interior runs shorter than min_run_len are dropped immediately;
-    runs touching either edge of the reporting range are always kept
-    (flagged as truncated) so adjacent summaries can be merged later.
+
+def _trailing_true(v: np.ndarray) -> int:
+    """Length of the all-True suffix of a non-empty mask.
+
+    Searches tail windows of growing size: VT indexes are sparse, so the
+    last non-VT index is almost always in the first window, whereas an
+    argmin over the reversed view walks the whole chunk.
+    """
+    window = 64
+    while True:
+        tail = v[-window:]
+        misses = np.flatnonzero(~tail)
+        if misses.size:
+            return tail.size - 1 - int(misses[-1])
+        if window >= v.size:
+            return v.size
+        window *= 16
+
+
+def _long_runs(seg: np.ndarray, min_len: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each run of at least min_len Trues in seg.
+
+    seg must begin and end with False, so every run in it is maximal.
+    Shifted ANDs first narrow the mask to the positions that open
+    min_len consecutive Trues; edge detection then meets only the long
+    runs.
+    """
+    opens, span = seg, 1
+    while span < min_len:
+        step = min(span, min_len - span)
+        opens = opens[:-step] & opens[step:]
+        span += step
+    edges = np.flatnonzero(opens[1:] != opens[:-1]) + 1
+    return zip(edges[0::2].tolist(), (edges[1::2] + (span - 1)).tolist())
+
+
+class _RunTracker:
+    """Owns the run open at the scan frontier, and the runs closed behind it.
+
+    ``open_run`` is the (start, length so far) of the run still open
+    after the last chunk fed, as checkpoints store it.  With
+    ``min_run_len`` None nothing else is tracked.  Otherwise closed runs
+    are collected: interior runs shorter than min_run_len are dropped
+    without being visited, and runs touching either edge of the
+    reporting range are always kept (flagged as truncated) so adjacent
+    summaries can be merged later.
     """
 
-    def __init__(self, report_lo: int, hi: int, min_run_len: int) -> None:
+    def __init__(
+        self,
+        report_lo: int,
+        min_run_len: int | None,
+        open_run: tuple[int, int] | None = None,
+    ) -> None:
         self.report_lo = report_lo
-        self.hi = hi
         self.min_run_len = min_run_len
-        self.open_start: int | None = None
+        self.open_run = open_run
         self.open_pcs: list[int] = []
         self.runs: list[Run] = []
+        if open_run is not None and min_run_len is not None:
+            # rejoin a run left open by a checkpointed scan
+            start, length = open_run
+            self.open_pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
 
-    def seed(self, start: int, popcounts: list[int]) -> None:
-        """Restore a run left open by a previous, checkpointed scan."""
-        self.open_start = start
-        self.open_pcs = popcounts
-
-    def _close(self, truncated_right: bool) -> None:
-        assert self.open_start is not None
-        start = self.open_start
-        length = len(self.open_pcs)
+    def _keep(self, start: int, pcs: list[int], truncated_right: bool = False) -> None:
         truncated_left = start == self.report_lo and self.report_lo > 1
-        if length >= self.min_run_len or truncated_left or truncated_right:
-            self.runs.append(
-                Run(start, length, tuple(self.open_pcs), truncated_left, truncated_right)
-            )
-        self.open_start = None
-        self.open_pcs = []
+        if len(pcs) >= self.min_run_len or truncated_left or truncated_right:
+            self.runs.append(Run(start, len(pcs), tuple(pcs), truncated_left, truncated_right))
 
     def feed(self, chunk: _Chunk) -> None:
-        v = chunk.vts
-        m = int(v.size)
-        if m == 0:
+        m = chunk.vts.size
+        tracking = self.min_run_len is not None
+        trail = _trailing_true(chunk.vts)
+        if trail == m:
+            # the whole chunk is VT: the open run grows, or starts here
+            start, length = self.open_run or (chunk.lo, 0)
+            self.open_run = (start, length + m)
+            if tracking:
+                self.open_pcs += chunk.pcs.tolist()
             return
-        if self.open_start is not None and not v[0]:
-            self._close(truncated_right=False)
-        if not v.any():
-            return
-        marks = v.view(np.int8)
-        diff = np.diff(marks)
-        starts = (np.flatnonzero(diff == 1) + 1).tolist()
-        stops = (np.flatnonzero(diff == -1) + 1).tolist()
-        if v[0]:
-            starts.insert(0, 0)
-        if v[-1]:
-            stops.append(m)
+        if tracking:
+            self._close_runs(chunk, m - trail)
+            self.open_pcs = chunk.pcs[m - trail :].tolist()
+        self.open_run = (chunk.hi - trail + 1, trail) if trail else None
+
+    def _close_runs(self, chunk: _Chunk, end: int) -> None:
+        """Collect the runs that close inside the chunk, all before ``end``."""
         pcs = chunk.pcs
-        for s, e in zip(starts, stops):
-            if s == 0 and self.open_start is not None:
-                self.open_pcs.extend(int(p) for p in pcs[:e])
-                if e == m:
-                    return
-                self._close(truncated_right=False)
-                continue
-            if e == m:
-                self.open_start = chunk.lo + s
-                self.open_pcs = [int(p) for p in pcs[s:e]]
-                return
-            start = chunk.lo + s
-            length = e - s
-            truncated_left = start == self.report_lo and self.report_lo > 1
-            if length >= self.min_run_len or truncated_left:
-                self.runs.append(
-                    Run(start, length, tuple(int(p) for p in pcs[s:e]), truncated_left, False)
-                )
+        lead = _leading_true(chunk.vts)
+        if self.open_run is not None:
+            self._keep(self.open_run[0], self.open_pcs + pcs[:lead].tolist())
+        elif lead:
+            self._keep(chunk.lo, pcs[:lead].tolist())
+        # indexes lead and end - 1 are both non-VT
+        for s, e in _long_runs(chunk.vts[lead:end], self.min_run_len):
+            self._keep(chunk.lo + lead + s, pcs[lead + s : lead + e].tolist())
 
     def finish(self) -> tuple[Run, ...]:
-        if self.open_start is not None:
+        if self.open_run is not None and self.min_run_len is not None:
             # the run reaches the range end: maximality unproven there
-            self._close(truncated_right=True)
+            self._keep(self.open_run[0], self.open_pcs, truncated_right=True)
         return tuple(self.runs)
 
 
@@ -473,72 +519,45 @@ class _RunTracker:
 # Scanning
 
 
-def _open_run_popcounts(open_run: tuple[int, int]) -> list[int]:
-    start, length = open_run
-    return [popcount_of_triangular(i) for i in range(start, start + length)]
+def _start_state(lo: int, hi: int, fmt: str | None) -> ScanCheckpoint:
+    """The checkpoint of a scan of [lo, hi] that has classified nothing yet."""
+    return ScanCheckpoint(CHECKPOINT_VERSION, lo, hi, lo, 0, None, lo * (lo - 1) // 2, fmt)
 
 
-def _engine(
+def _drive(
+    state: ScanCheckpoint,
+    tracker: _RunTracker,
+    fmt: str | None,
     *,
-    lo: int,
-    hi: int,
-    start: int,
-    vt_base: int,
-    seed_run: tuple[int, int] | None,
-    report_lo: int,
-    emit: Callable[[VtRecord], None] | None,
-    min_run_len: int | None,
     threads: int,
     chunk_size: int,
-    checkpoint_path: str | os.PathLike[str] | None,
-) -> tuple[int, tuple[Run, ...]]:
-    tracker: _RunTracker | None = None
-    if min_run_len is not None:
-        tracker = _RunTracker(report_lo, hi, min_run_len)
-        if seed_run is not None:
-            tracker.seed(seed_run[0], _open_run_popcounts(seed_run))
-    vt_total = vt_base
-    open_state = seed_run
-    for chunk in _iter_chunks(start, hi, chunk_size=chunk_size, threads=threads):
+) -> Iterator[tuple[_Chunk, bytes, ScanCheckpoint]]:
+    """Classify [state.next, state.hi] chunk by chunk, in ascending order.
+
+    Yields each chunk with its payload formatted as ``fmt`` (empty when
+    fmt is None) and the checkpoint valid after it.  ``tracker`` sees
+    every chunk and supplies the checkpoint's open run.
+    """
+
+    def job(a: int, b: int) -> tuple[_Chunk, bytes]:
+        chunk = _classify(a, b)
+        return chunk, b"" if fmt is None else format_block(chunk.rows(), fmt)
+
+    vt_total = state.vt_count
+    bounds = _chunk_bounds(state.next, state.hi, chunk_size)
+    for chunk, payload in _ordered_map(job, bounds, threads):
         vt_total += chunk.vt_count
-        open_state = _advance_open_run(open_state, chunk)
-        if tracker is not None:
-            tracker.feed(chunk)
-        if emit is not None:
-            for record in chunk.iter_records():
-                emit(record)
-        if checkpoint_path is not None:
-            checkpoint_save(
-                ScanCheckpoint(
-                    format_version=CHECKPOINT_VERSION,
-                    lo=lo,
-                    hi=hi,
-                    next=chunk.hi + 1,
-                    vt_count=vt_total,
-                    open_run=open_state,
-                    current_t=chunk.hi * (chunk.hi + 1) // 2,
-                ),
-                checkpoint_path,
-            )
-    runs = tracker.finish() if tracker is not None else ()
-    return vt_total, runs
-
-
-def _advance_open_run(
-    open_state: tuple[int, int] | None, chunk: _Chunk
-) -> tuple[int, int] | None:
-    """Track the (start, length) of the run still open after this chunk."""
-    v = chunk.vts
-    m = int(v.size)
-    non_vt = np.flatnonzero(~v)
-    if non_vt.size == 0:
-        if open_state is not None:
-            return (open_state[0], open_state[1] + m)
-        return (chunk.lo, m)
-    trailing = m - 1 - int(non_vt[-1])
-    if trailing == 0:
-        return None
-    return (chunk.hi - trailing + 1, trailing)
+        tracker.feed(chunk)
+        yield chunk, payload, ScanCheckpoint(
+            format_version=CHECKPOINT_VERSION,
+            lo=state.lo,
+            hi=state.hi,
+            next=chunk.hi + 1,
+            vt_count=vt_total,
+            open_run=tracker.open_run,
+            current_t=chunk.hi * (chunk.hi + 1) // 2,
+            fmt=fmt,
+        )
 
 
 def scan(
@@ -555,35 +574,22 @@ def scan(
 
     ``emit`` receives one :class:`VtRecord` per index, in order; sink
     exceptions propagate.  ``min_run_len`` controls which maximal runs
-    land in the summary (None disables run tracking entirely).  When
-    ``checkpoint_path`` is given, a resumable checkpoint is written
-    atomically after each chunk; hand it to :func:`resume_scan` to
-    continue an interrupted scan.
+    land in the summary (None disables run tracking entirely).  The
+    default of 1 keeps every run, about one :class:`Run` per 8 indexes,
+    and building them costs tens of times a plain classification; pass
+    None, or the shortest run you need, for the fast path.  When ``checkpoint_path``
+    is given, a resumable checkpoint is written atomically after each
+    chunk; hand it to :func:`resume_scan` to continue an interrupted
+    scan.
     """
     _require_range(lo, hi)
-    _require_threads(threads)
-    _require_chunk(chunk_size)
-    started = time.monotonic()
-    vt_total, runs = _engine(
-        lo=lo,
-        hi=hi,
-        start=lo,
-        vt_base=0,
-        seed_run=None,
-        report_lo=lo,
-        emit=emit,
+    return resume_scan(
+        _start_state(lo, hi, None),
+        emit,
         min_run_len=min_run_len,
         threads=threads,
         chunk_size=chunk_size,
         checkpoint_path=checkpoint_path,
-    )
-    return ScanSummary(
-        lo=lo,
-        hi=hi,
-        scanned=hi - lo + 1,
-        vt_count=vt_total,
-        runs_found=runs,
-        elapsed=time.monotonic() - started,
     )
 
 
@@ -611,29 +617,19 @@ def resume_scan(
     _require_threads(threads)
     _require_chunk(chunk_size)
     started = time.monotonic()
-    if checkpoint.next > checkpoint.hi:
-        # nothing left to do; the summary reflects the finished range
-        return ScanSummary(
-            lo=checkpoint.lo,
-            hi=checkpoint.hi,
-            scanned=checkpoint.hi - checkpoint.lo + 1,
-            vt_count=checkpoint.vt_count,
-            runs_found=(),
-            elapsed=time.monotonic() - started,
-        )
-    vt_total, runs = _engine(
-        lo=checkpoint.lo,
-        hi=checkpoint.hi,
-        start=checkpoint.next,
-        vt_base=checkpoint.vt_count,
-        seed_run=checkpoint.open_run,
-        report_lo=checkpoint.lo,
-        emit=emit,
-        min_run_len=min_run_len,
-        threads=threads,
-        chunk_size=chunk_size,
-        checkpoint_path=checkpoint_path,
-    )
+    tracker = _RunTracker(checkpoint.lo, min_run_len, checkpoint.open_run)
+    vt_total = checkpoint.vt_count
+    for chunk, _, state in _drive(
+        checkpoint, tracker, None, threads=threads, chunk_size=chunk_size
+    ):
+        if emit is not None:
+            for record in chunk.iter_records():
+                emit(record)
+        if checkpoint_path is not None:
+            checkpoint_save(state, checkpoint_path)
+        vt_total = state.vt_count
+    # a finished checkpoint has nothing left to report
+    runs = tracker.finish() if checkpoint.next <= checkpoint.hi else ()
     return ScanSummary(
         lo=checkpoint.lo,
         hi=checkpoint.hi,
@@ -802,52 +798,38 @@ def stream_scan(
     identical for any worker count.  With ``resume``, emission continues
     from resume.next and the csv header is suppressed (the interrupted
     stream already wrote it); concatenating the two outputs reproduces
-    an uninterrupted run byte for byte.
+    an uninterrupted run byte for byte.  A ``resume`` checkpoint for
+    another range or another format raises :class:`CheckpointStateError`.
     """
     _require_range(lo, hi)
     _require_threads(threads)
     _require_chunk(chunk_size)
-    if fmt not in ("jsonl", "csv"):
+    if fmt not in _FORMATS:
         raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")
-    if resume is not None:
+    if resume is None:
+        state = _start_state(lo, hi, fmt)
+        header = _CSV_HEADER if fmt == "csv" else b""
+    else:
         if (resume.lo, resume.hi) != (lo, hi):
             raise CheckpointStateError(
                 f"checkpoint covers [{resume.lo}, {resume.hi}] "
                 f"but the requested range is [{lo}, {hi}]"
             )
-        start = resume.next
-        vt_total = resume.vt_count
-        open_state = resume.open_run
-    else:
-        start = lo
-        vt_total = 0
-        open_state = None
-    if start > hi:
-        return
-
-    def job(a: int, b: int) -> tuple[_Chunk, bytes]:
-        chunk = _classify(a, b)
-        return chunk, format_block(chunk.rows(), fmt)
-
-    first = True
-    for chunk, payload in _ordered_map(job, _chunk_bounds(start, hi, chunk_size), threads):
-        if first and fmt == "csv" and resume is None:
-            payload = _CSV_HEADER + payload
-        first = False
-        vt_total += chunk.vt_count
-        open_state = _advance_open_run(open_state, chunk)
-        yield StreamBlock(
-            payload=payload,
-            checkpoint=ScanCheckpoint(
-                format_version=CHECKPOINT_VERSION,
-                lo=lo,
-                hi=hi,
-                next=chunk.hi + 1,
-                vt_count=vt_total,
-                open_run=open_state,
-                current_t=chunk.hi * (chunk.hi + 1) // 2,
-            ),
-        )
+        if resume.fmt != fmt:
+            raise CheckpointStateError(
+                f"checkpoint continues {resume.fmt or 'a record scan'} output "
+                f"but the requested format is {fmt}"
+            )
+        state = resume
+        header = b""  # the interrupted stream already wrote it
+    tracker = _RunTracker(lo, None, state.open_run)
+    for _, payload, checkpoint in _drive(
+        state, tracker, fmt, threads=threads, chunk_size=chunk_size
+    ):
+        if header:
+            payload = header + payload
+            header = b""
+        yield StreamBlock(payload=payload, checkpoint=checkpoint)
 
 
 def _require_range(lo: int, hi: int) -> None:

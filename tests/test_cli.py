@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from vtnum import (
+    CHECKPOINT_VERSION,
     ScanCheckpoint,
     VtRecord,
     checkpoint_save,
@@ -154,7 +155,7 @@ class TestScanCheckpoint:
         assert not path.exists()
 
     def test_finished_checkpoint_emits_nothing(self, tmp_path, capsysbinary):
-        state = ScanCheckpoint(1, 1, 21, 22, 5, None, 231)
+        state = ScanCheckpoint(CHECKPOINT_VERSION, 1, 21, 22, 5, None, 231)
         path = tmp_path / "cp.json"
         checkpoint_save(state, path)
         code, out, err = run_cli(
@@ -167,7 +168,7 @@ class TestScanCheckpoint:
         assert not path.exists()
 
     def test_mismatched_range_fails_loud(self, tmp_path, capsysbinary):
-        state = ScanCheckpoint(1, 1, 500, 101, 25, None, 100 * 101 // 2)
+        state = ScanCheckpoint(CHECKPOINT_VERSION, 1, 500, 101, 25, None, 100 * 101 // 2)
         path = tmp_path / "cp.json"
         checkpoint_save(state, path)
         code, out, err = run_cli(
@@ -178,6 +179,46 @@ class TestScanCheckpoint:
         assert out == b""
         assert "checkpoint covers" in err
         assert path.exists()  # never deleted on failure
+
+    def test_format_mismatch_fails_loud(self, tmp_path, capsysbinary):
+        blocks = list(stream_scan(1, 400, "csv", chunk_size=100))
+        path = tmp_path / "cp.json"
+        checkpoint_save(blocks[1].checkpoint, path)
+        code, out, err = run_cli(
+            ["scan", "--from", "1", "--to", "400", "--emit", "jsonl",
+             "--checkpoint", str(path)],
+            capsysbinary,
+        )
+        assert code == 2
+        assert out == b""
+        assert err.count("\n") == 1 and err.startswith("vt: ")
+        assert "csv" in err
+        assert path.exists()
+
+    def test_version_1_checkpoint_fails_loud(self, tmp_path, capsysbinary):
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 1, "lo": 1, "hi": 400, "next": 8, '
+            '"vt_count": 3, "open_run": [6, 2], "current_t": "28"}'
+        )
+        code, out, err = run_cli(
+            ["scan", "--from", "1", "--to", "400", "--checkpoint", str(path)],
+            capsysbinary,
+        )
+        assert code == 2
+        assert out == b""
+        assert "format_version 1" in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unusable_checkpoint_path_fails_loud(self, tmp_path, capsysbinary, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "cp.json"
+        code, _, err = run_cli(
+            ["scan", "--from", "1", "--to", "5", "--checkpoint", str(path)],
+            capsysbinary,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("vt: ")
+        assert str(path) in err
 
     def test_corrupt_checkpoint_fails_loud(self, tmp_path, capsysbinary):
         path = tmp_path / "cp.json"

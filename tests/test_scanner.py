@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtnum import (
+    CHECKPOINT_VERSION,
     FAST_INDEX_LIMIT,
     CheckpointCorruptError,
     CheckpointStateError,
@@ -28,6 +29,7 @@ from vtnum import (
     stream_scan,
     vt_flags,
 )
+from vtnum.scanner import _leading_true, _long_runs, _trailing_true
 
 
 class TestScanBasics:
@@ -206,6 +208,118 @@ class TestRuns:
             find_runs(1, 100, 0)
 
 
+def _ref_mask_runs(bits):
+    """(start, length) of each maximal block of Trues in a list of bools."""
+    runs, start = [], None
+    for i, b in enumerate(bits + [False]):
+        if b and start is None:
+            start = i
+        elif not b and start is not None:
+            runs.append((start, i - start))
+            start = None
+    return runs
+
+
+def _expected_runs(ref, lo, hi, min_len):
+    """The runs a scan of [lo, hi] reports, from the brute-force oracle."""
+    runs = []
+    for start, length in ref.runs(lo, hi, 1):
+        left = start == lo and lo > 1
+        right = start + length == hi + 1
+        if length >= min_len or left or right:
+            pcs = tuple(ref.popcount(ref.triangular(n)) for n in range(start, start + length))
+            runs.append(Run(start, length, pcs, left, right))
+    return tuple(runs)
+
+
+def _expected_open_run(ref, lo, nxt):
+    """(start, length) of the VT run ending at nxt - 1, within [lo, nxt - 1]."""
+    runs = ref.runs(lo, nxt - 1, 1) if nxt > lo else []
+    if runs and runs[-1][0] + runs[-1][1] == nxt:
+        return runs[-1]
+    return None
+
+
+class TestRunTrackerOracle:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        pieces=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=1, max_value=300)),
+            min_size=1,
+            max_size=8,
+        ),
+        min_len=st.integers(min_value=1, max_value=70),
+    )
+    def test_mask_helpers_on_long_runs(self, pieces, min_len):
+        # real VT runs are short; synthetic masks reach every window size
+        bits = [b for value, count in pieces for b in [value] * count]
+        mask = np.array(bits, dtype=bool)
+        lead = next((i for i, b in enumerate(bits) if not b), len(bits))
+        trail = next((i for i, b in enumerate(reversed(bits)) if not b), len(bits))
+        assert _leading_true(mask) == lead
+        assert _trailing_true(mask) == trail
+        seg = np.concatenate([[False], mask, [False]])
+        want = [
+            (s + 1, s + 1 + n)
+            for s, n in _ref_mask_runs(bits)
+            if n >= min_len
+        ]
+        assert list(_long_runs(seg, min_len)) == want
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lo=st.one_of(
+            st.just(1),
+            st.integers(min_value=2, max_value=5000),
+            st.integers(min_value=30280, max_value=30310),  # the run of 6 at 30301
+            st.integers(min_value=2**30 + 1850, max_value=2**30 + 1880),
+        ),
+        width=st.integers(min_value=0, max_value=400),
+        min_len=st.integers(min_value=1, max_value=8),
+        chunk=st.integers(min_value=1, max_value=64),
+    )
+    def test_runs_match_reference(self, ref, lo, width, min_len, chunk):
+        hi = lo + width
+        summary = scan(lo, hi, min_run_len=min_len, chunk_size=chunk)
+        assert summary.runs_found == _expected_runs(ref, lo, hi, min_len)
+
+    def test_window_straddling_tier_limit(self, ref):
+        lo, hi = FAST_INDEX_LIMIT - 300, FAST_INDEX_LIMIT + 300
+        for min_len, chunk in ((1, 1 << 20), (2, 37), (3, 5)):
+            summary = scan(lo, hi, min_run_len=min_len, chunk_size=chunk)
+            assert summary.runs_found == _expected_runs(ref, lo, hi, min_len)
+
+    @pytest.mark.parametrize(
+        "lo,hi,chunk",
+        [(1, 400, 5), (30290, 30400, 5), (30290, 30400, 1), (2**30 + 1800, 2**30 + 1950, 5)],
+    )
+    @pytest.mark.parametrize("min_len", [1, 3])
+    def test_resume_from_every_block(self, lo, hi, chunk, min_len):
+        whole = scan(lo, hi, min_run_len=min_len)
+        blocks = list(stream_scan(lo, hi, chunk_size=chunk))
+        assert any(b.checkpoint.open_run is not None for b in blocks[:-1])
+        for block in blocks:
+            state = block.checkpoint
+            resumed = resume_scan(state, min_run_len=min_len, chunk_size=7)
+            # runs closed before the frontier belong to the interrupted part
+            prefix = scan(lo, state.next - 1, min_run_len=min_len).runs_found
+            closed = tuple(r for r in prefix if not r.truncated_right)
+            assert dataclasses.replace(resumed, runs_found=closed + resumed.runs_found) == whole
+
+    @pytest.mark.parametrize("lo,hi,chunk", [(1, 300, 6), (30290, 30400, 6), (30290, 30400, 1)])
+    @pytest.mark.parametrize("min_run_len", [None, 4])
+    def test_stream_open_run_matches_engine(self, ref, tmp_path, lo, hi, chunk, min_run_len):
+        path = tmp_path / "cp.json"
+        for block in stream_scan(lo, hi, chunk_size=chunk):
+            state = block.checkpoint
+            scan(lo, state.next - 1, min_run_len=min_run_len, chunk_size=25, checkpoint_path=path)
+            engine = checkpoint_resume(path)
+            assert engine.next == state.next
+            assert engine.open_run == state.open_run
+            assert state.open_run == _expected_open_run(ref, lo, state.next)
+
+
 class TestTwins:
     def test_first_twin(self):
         got = find_twins(1, 10)
@@ -297,7 +411,7 @@ class TestCountAndFlags:
 class TestCheckpointFile:
     def _state(self, **kw):
         base = dict(
-            format_version=1, lo=1, hi=100, next=8, vt_count=3,
+            format_version=CHECKPOINT_VERSION, lo=1, hi=100, next=8, vt_count=3,
             open_run=(6, 2), current_t=28,
         )
         base.update(kw)
@@ -315,6 +429,33 @@ class TestCheckpointFile:
         checkpoint_save(state, path)
         assert checkpoint_resume(path) == state
 
+    @pytest.mark.parametrize("fmt", ["csv", None])
+    def test_round_trip_keeps_format(self, tmp_path, fmt):
+        path = tmp_path / "cp.json"
+        state = self._state(fmt=fmt)
+        checkpoint_save(state, path)
+        assert checkpoint_resume(path) == state
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 files predate the fmt field
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 1, "lo": 1, "hi": 100, "next": 8, '
+            '"vt_count": 3, "open_run": [6, 2], "current_t": "28"}'
+        )
+        with pytest.raises(CheckpointVersionError):
+            checkpoint_resume(path)
+
+    @pytest.mark.parametrize("fmt", ['', '"fmt": "xml", ', '"fmt": 1, '])
+    def test_missing_or_unknown_format(self, tmp_path, fmt):
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 2, ' + fmt + '"lo": 1, "hi": 100, "next": 8, '
+            '"vt_count": 3, "open_run": [6, 2], "current_t": "28"}'
+        )
+        with pytest.raises(CheckpointCorruptError):
+            checkpoint_resume(path)
+
     def test_no_temp_file_left_behind(self, tmp_path):
         path = tmp_path / "cp.json"
         checkpoint_save(self._state(), path)
@@ -323,7 +464,7 @@ class TestCheckpointFile:
     def test_big_current_t_survives_json(self, tmp_path):
         # t at 10^18 overflows a double; the string field must preserve it
         n = 10**18
-        state = ScanCheckpoint(1, 1, n, n + 1, 7, None, n * (n + 1) // 2)
+        state = ScanCheckpoint(CHECKPOINT_VERSION, 1, n, n + 1, 7, None, n * (n + 1) // 2)
         path = tmp_path / "cp.json"
         checkpoint_save(state, path)
         assert checkpoint_resume(path).current_t == n * (n + 1) // 2
@@ -348,14 +489,14 @@ class TestCheckpointFile:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "cp.json"
-        checkpoint_save(self._state(format_version=2), path)
+        checkpoint_save(self._state(format_version=99), path)
         with pytest.raises(CheckpointVersionError):
             checkpoint_resume(path)
 
     def test_wrong_field_type(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text(
-            '{"format_version": 1, "lo": 1, "hi": 100, "next": "8", '
+            '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 100, "next": "8", '
             '"vt_count": 3, "open_run": null, "current_t": "28"}'
         )
         with pytest.raises(CheckpointCorruptError):
@@ -364,7 +505,7 @@ class TestCheckpointFile:
     def test_bool_is_not_an_int(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text(
-            '{"format_version": 1, "lo": true, "hi": 100, "next": 8, '
+            '{"format_version": 2, "fmt": "jsonl", "lo": true, "hi": 100, "next": 8, '
             '"vt_count": 3, "open_run": null, "current_t": "28"}'
         )
         with pytest.raises(CheckpointCorruptError):
@@ -373,7 +514,7 @@ class TestCheckpointFile:
     def test_malformed_current_t(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text(
-            '{"format_version": 1, "lo": 1, "hi": 100, "next": 8, '
+            '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 100, "next": 8, '
             '"vt_count": 3, "open_run": null, "current_t": "28x"}'
         )
         with pytest.raises(CheckpointCorruptError):
@@ -523,6 +664,19 @@ class TestByteStreams:
         blocks = list(stream_scan(1, 50, chunk_size=7))
         with pytest.raises(CheckpointStateError):
             list(stream_scan(1, 60, resume=blocks[0].checkpoint))
+
+    def test_resume_requires_matching_format(self, tmp_path):
+        blocks = list(stream_scan(1, 50, "csv", chunk_size=7))
+        assert blocks[0].checkpoint.fmt == "csv"
+        with pytest.raises(CheckpointStateError):
+            list(stream_scan(1, 50, "jsonl", resume=blocks[0].checkpoint))
+        # scan() feeds records to a callback: its checkpoints carry no format
+        path = tmp_path / "cp.json"
+        scan(1, 20, chunk_size=7, checkpoint_path=path)
+        state = checkpoint_resume(path)
+        assert state.fmt is None
+        with pytest.raises(CheckpointStateError):
+            list(stream_scan(1, 20, "jsonl", resume=state))
 
     def test_resumed_stream_completes_the_bytes(self):
         for fmt in ("jsonl", "csv"):
