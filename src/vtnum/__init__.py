@@ -44,6 +44,7 @@ from .scanner import (
     CHECKPOINT_VERSION,
     DEFAULT_CHUNK,
     FAST_INDEX_LIMIT,
+    WIDE_INDEX_LIMIT,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointStateError,
@@ -118,6 +119,7 @@ __all__ = [
     # scanner
     "DEFAULT_CHUNK",
     "FAST_INDEX_LIMIT",
+    "WIDE_INDEX_LIMIT",
     "CHECKPOINT_VERSION",
     "VtRecord",
     "Run",

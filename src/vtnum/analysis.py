@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scanner
 from .core import (
-    ParameterError,
+    _require,
     is_triangular,
     is_very_triangular_index,
     triangular,
@@ -44,11 +44,6 @@ __all__ = [
 
 class VerificationError(Exception):
     """A claim that must hold by theorem failed its computational check."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
 
 
 # ---------------------------------------------------------------------------

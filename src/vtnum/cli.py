@@ -60,6 +60,7 @@ from .families import (
 )
 from .scanner import (
     _CSV_HEADER,
+    _require_format,
     CheckpointError,
     VtRecord,
     checkpoint_resume,
@@ -80,18 +81,16 @@ def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
     The output is identical to what the scanner's chunked stream
     produces for the same records.
     """
-    if fmt not in ("jsonl", "csv"):
-        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")
-
-    def generate() -> Iterator[bytes]:
-        if fmt == "csv":
-            yield _CSV_HEADER
-        for record in records:
-            yield format_block(
-                ([record.n], [record.t], [record.popcount], [record.is_vt]), fmt
-            )
-
-    return generate()
+    _require_format(fmt)
+    records = list(records)
+    rows = (
+        [r.n for r in records],
+        [r.t for r in records],
+        [r.popcount for r in records],
+        [r.is_vt for r in records],
+    )
+    header = _CSV_HEADER if fmt == "csv" else b""
+    return iter([header + format_block(rows, fmt)])
 
 
 def _write(blocks: Iterable[bytes]) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ParameterError, is_triangular, triangular
+from .core import _require, is_triangular, triangular
 
 __all__ = [
     "Family",
@@ -74,11 +74,6 @@ class FamilyWitness:
     def value(self) -> int:
         """The sole value of a single-member witness."""
         return self.values[0]
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
 
 
 def _witness(
@@ -210,17 +205,9 @@ def verify_witness(w: FamilyWitness) -> bool:
     that crossed a serialization boundary or may have been altered.
     """
     try:
-        values = tuple(triangular(i) for i in w.indices)
+        fresh = _witness(
+            w.family, dict(w.params), w.indices, w.predicted_popcount, w.expect_vt
+        )
     except (TypeError, ValueError):
         return False
-    if values != w.values:
-        return False
-    actual = tuple(v.bit_count() for v in values)
-    if actual != w.actual_popcounts:
-        return False
-    vt_flags = tuple(is_triangular(pc) is not None for pc in actual)
-    prediction_holds = w.predicted_popcount is None or all(
-        pc == w.predicted_popcount for pc in actual
-    )
-    vt_holds = all(vt_flags) if w.expect_vt else not any(vt_flags)
-    return w.matches == (prediction_holds and vt_holds)
+    return fresh == w

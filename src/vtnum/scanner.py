@@ -1,14 +1,19 @@
 """Streaming classification of triangular numbers over index ranges.
 
-The scanner walks indexes in ascending order, maintaining t_n through
-the identity t_(n+1) = t_n + (n+1) (one addition per step; the closed
-form runs only once per chunk start) and classifying each value by the
-popcount test.  Ranges are cut into fixed chunks: chunks whose values
-fit in 64-bit words go through vectorized numpy kernels, wider chunks
-through an exact big-integer loop, and both paths produce identical
-records.  Chunks may be classified by concurrent workers, but results
-are always consumed in ascending range order, so output is byte
-deterministic regardless of worker count.
+The scanner walks indexes in ascending order and classifies each t_n
+by the popcount test.  Ranges are cut into fixed chunks, split at the
+tier limits, so a chunk's index range alone picks one of three tiers:
+
+    n <= FAST_INDEX_LIMIT   t_n fits one uint64 word: one closed-form
+                            product at the chunk start, then a cumsum
+    n <= WIDE_INDEX_LIMIT   t_n fits two uint64 words: a per-element
+                            128-bit product from 32-bit limbs
+    larger n                an exact big-integer loop, t_(n+1) = t_n + (n+1)
+
+The first two are vectorized numpy kernels, and all three produce
+identical records.  Chunks may be classified by concurrent workers, but
+results are always consumed in ascending range order, so output is
+byte deterministic regardless of worker count.
 
 Output formats (byte exact, ASCII):
 
@@ -28,7 +33,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from .core import ParameterError, is_triangular, popcount_of_triangular, triangu
 __all__ = [
     "DEFAULT_CHUNK",
     "FAST_INDEX_LIMIT",
+    "WIDE_INDEX_LIMIT",
     "CHECKPOINT_VERSION",
     "VtRecord",
     "Run",
@@ -64,14 +70,19 @@ __all__ = [
 
 DEFAULT_CHUNK = 1 << 20
 
-# Largest index whose triangular number fits in an unsigned 64-bit word:
-# n(n+1) < 2^64 exactly when n <= 2^32 - 1.
+# The three classification tiers.  Up to FAST_INDEX_LIMIT, t_n fits one
+# unsigned 64-bit word (n(n+1) < 2^64 exactly when n <= 2^32 - 1); up to
+# WIDE_INDEX_LIMIT, n and n + 1 (the even one halved) both fit one word,
+# so t_n is their product in two words; past it, big-integer arithmetic.
 FAST_INDEX_LIMIT = (1 << 32) - 1
+WIDE_INDEX_LIMIT = (1 << 64) - 1
 
-# Triangular values that can occur as the popcount of a 64-bit word.
-_SMALL_TRIANGULAR = (1, 3, 6, 10, 15, 21, 28, 36, 45, 55)
-_VT_BY_POPCOUNT = np.zeros(65, dtype=bool)
-_VT_BY_POPCOUNT[list(_SMALL_TRIANGULAR)] = True
+# Very triangular verdict by popcount, for every popcount of a 128-bit value.
+_VT_BY_POPCOUNT = np.array([is_triangular(pc) is not None for pc in range(129)])
+
+# Rows per pass of the two-word kernel: its temporaries stay cache sized.
+_WIDE_BLOCK = 1 << 15
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 _FORMATS = ("jsonl", "csv")
 
@@ -305,23 +316,32 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
 
 @dataclass
 class _Chunk:
-    """One classified sub-range [lo, hi] ready for downstream consumers."""
+    """One classified sub-range [lo, hi] ready for downstream consumers.
+
+    ``ts`` holds the values only in the one-word tier, where the kernel
+    computes them anyway; elsewhere :meth:`rows` rebuilds them, so the
+    classification-only consumers never hold a chunk of big integers.
+    """
 
     lo: int
     hi: int
-    ns: Sequence[int]
-    ts: Sequence[int]
     pcs: np.ndarray
     vts: np.ndarray
+    ts: np.ndarray | None = None
 
     @property
     def vt_count(self) -> int:
         return int(np.count_nonzero(self.vts))
 
     def rows(self) -> tuple[list[int], list[int], list[int], list[bool]]:
-        ns = self.ns.tolist() if isinstance(self.ns, np.ndarray) else list(self.ns)
-        ts = self.ts.tolist() if isinstance(self.ts, np.ndarray) else list(self.ts)
-        return ns, ts, self.pcs.tolist(), self.vts.tolist()
+        ns = range(self.lo, self.hi + 1)
+        if self.ts is not None:
+            ts = self.ts.tolist()
+        else:
+            acc = itertools.accumulate(ns, initial=self.lo * (self.lo - 1) // 2)
+            next(acc)  # t_(lo-1)
+            ts = list(acc)
+        return list(ns), ts, self.pcs.tolist(), self.vts.tolist()
 
     def iter_records(self) -> Iterator[VtRecord]:
         for n, t, pc, vt in zip(*self.rows()):
@@ -334,40 +354,61 @@ def _classify_fast(lo: int, hi: int) -> _Chunk:
     base = np.uint64(lo * (lo - 1) // 2)  # t_(lo-1): the one closed-form product
     ts = np.cumsum(ns, dtype=np.uint64) + base
     pcs = np.bitwise_count(ts)
-    vts = _VT_BY_POPCOUNT[pcs]
-    return _Chunk(lo, hi, ns, ts, pcs.astype(np.int64), vts)
+    return _Chunk(lo, hi, pcs, _VT_BY_POPCOUNT[pcs], ts)
+
+
+def _classify_wide(lo: int, hi: int) -> _Chunk:
+    """Vectorized two-word kernel for chunks with hi <= WIDE_INDEX_LIMIT.
+
+    t_n = x * y with x, y = n, (n + 1) / 2 for odd n and n / 2, n + 1
+    for even n; both are below 2^64 even at n = 2^64 - 1.  The low word
+    of the product is the wrapping uint64 product, and the high word
+    comes from the four 32-bit limb products with explicit carries.
+    """
+    m = hi - lo + 1
+    pcs = np.empty(m, dtype=np.uint8)
+    for a in range(0, m, _WIDE_BLOCK):
+        b = min(a + _WIDE_BLOCK, m)
+        n = np.uint64(lo + a) + np.arange(b - a, dtype=np.uint64)
+        odd = n & 1
+        x = n >> (odd ^ 1)
+        y = (n >> odd) + 1
+        x0, x1 = x & _LOW32, x >> 32
+        y0, y1 = y & _LOW32, y >> 32
+        p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+        mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)  # < 3 * 2^32
+        high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        np.add(np.bitwise_count(high), np.bitwise_count(x * y), out=pcs[a:b])
+    return _Chunk(lo, hi, pcs, _VT_BY_POPCOUNT[pcs])
 
 
 def _classify_big(lo: int, hi: int) -> _Chunk:
-    """Exact big-integer loop for chunks beyond the 64-bit tier."""
+    """Exact big-integer loop for chunks beyond the two-word tier."""
     t = lo * (lo - 1) // 2
-    ts: list[int] = []
     pcs: list[int] = []
-    vts: list[bool] = []
     for n in range(lo, hi + 1):
         t += n
-        pc = t.bit_count()
-        ts.append(t)
-        pcs.append(pc)
-        vts.append(is_triangular(pc) is not None)
-    return _Chunk(
-        lo, hi, range(lo, hi + 1), ts, np.array(pcs, dtype=np.int64), np.array(vts, dtype=bool)
-    )
+        pcs.append(t.bit_count())
+    vts = [is_triangular(pc) is not None for pc in pcs]
+    return _Chunk(lo, hi, np.array(pcs, dtype=np.int64), np.array(vts, dtype=bool))
 
 
 def _classify(lo: int, hi: int) -> _Chunk:
     if hi <= FAST_INDEX_LIMIT:
         return _classify_fast(lo, hi)
+    if hi <= WIDE_INDEX_LIMIT:
+        return _classify_wide(lo, hi)
     return _classify_big(lo, hi)
 
 
 def _chunk_bounds(lo: int, hi: int, size: int) -> Iterator[tuple[int, int]]:
-    """Cut [lo, hi] into chunks of at most `size`, split at the tier limit."""
+    """Cut [lo, hi] into chunks of at most `size`, split at the tier limits."""
     a = lo
     while a <= hi:
         b = min(a + size - 1, hi)
-        if a <= FAST_INDEX_LIMIT < b:
-            b = FAST_INDEX_LIMIT
+        for limit in (FAST_INDEX_LIMIT, WIDE_INDEX_LIMIT):
+            if a <= limit < b:
+                b = limit
         yield a, b
         a = b + 1
 
@@ -753,19 +794,18 @@ _CSV_HEADER = b"n,t,pc,vt\n"
 
 def format_block(chunk_rows: tuple[list[int], list[int], list[int], list[bool]], fmt: str) -> bytes:
     """Serialize classified rows to the byte-exact jsonl or csv body."""
+    _require_format(fmt)
     ns, ts, pcs, vts = chunk_rows
     if fmt == "jsonl":
         lines = [
             f'{{"n":{n},"t":"{t}","pc":{p},"vt":{"true" if v else "false"}}}\n'
             for n, t, p, v in zip(ns, ts, pcs, vts)
         ]
-    elif fmt == "csv":
+    else:
         lines = [
             f"{n},{t},{p},{'true' if v else 'false'}\n"
             for n, t, p, v in zip(ns, ts, pcs, vts)
         ]
-    else:
-        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")
     return "".join(lines).encode("ascii")
 
 
@@ -804,8 +844,7 @@ def stream_scan(
     _require_range(lo, hi)
     _require_threads(threads)
     _require_chunk(chunk_size)
-    if fmt not in _FORMATS:
-        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")
+    _require_format(fmt)
     if resume is None:
         state = _start_state(lo, hi, fmt)
         header = _CSV_HEADER if fmt == "csv" else b""
@@ -845,3 +884,8 @@ def _require_threads(threads: int) -> None:
 def _require_chunk(chunk_size: int) -> None:
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+
+
+def _require_format(fmt: str) -> None:
+    if fmt not in _FORMATS:
+        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from vtnum import (
     CHECKPOINT_VERSION,
     FAST_INDEX_LIMIT,
+    WIDE_INDEX_LIMIT,
     CheckpointCorruptError,
     CheckpointStateError,
     CheckpointVersionError,
     ParameterError,
     Run,
     ScanCheckpoint,
+    VtRecord,
     checkpoint_resume,
     checkpoint_save,
     classify_index,
@@ -29,7 +31,15 @@ from vtnum import (
     stream_scan,
     vt_flags,
 )
-from vtnum.scanner import _leading_true, _long_runs, _trailing_true
+from vtnum.scanner import (
+    _WIDE_BLOCK,
+    _chunk_bounds,
+    _classify,
+    _classify_wide,
+    _leading_true,
+    _long_runs,
+    _trailing_true,
+)
 
 
 class TestScanBasics:
@@ -140,6 +150,119 @@ class TestTierBoundary:
         for rec in records:
             assert rec.t == ref.triangular(rec.n)
             assert rec.popcount == ref.popcount(rec.t)
+
+
+def _ref_rows(ref, lo, hi):
+    """The (ns, ts, pcs, vts) rows of [lo, hi], from the brute-force oracle."""
+    ns = list(range(lo, hi + 1))
+    ts = [ref.triangular(n) for n in ns]
+    return ns, ts, [ref.popcount(t) for t in ts], [ref.is_vt_index(n) for n in ns]
+
+
+class TestWideTier:
+    """The two-word tier, FAST_INDEX_LIMIT < n <= WIDE_INDEX_LIMIT."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lo=st.one_of(
+            st.integers(min_value=FAST_INDEX_LIMIT - 300, max_value=FAST_INDEX_LIMIT + 1),
+            st.integers(min_value=FAST_INDEX_LIMIT + 1, max_value=WIDE_INDEX_LIMIT),
+            st.integers(min_value=WIDE_INDEX_LIMIT - 300, max_value=WIDE_INDEX_LIMIT),
+        ),
+        width=st.integers(min_value=0, max_value=300),
+    )
+    def test_kernel_matches_reference(self, ref, lo, width):
+        hi = min(lo + width, WIDE_INDEX_LIMIT)
+        chunk = _classify_wide(lo, hi)
+        ns, ts, pcs, vts = _ref_rows(ref, lo, hi)
+        assert chunk.pcs.tolist() == pcs
+        assert chunk.vts.tolist() == vts
+        assert chunk.rows() == (ns, ts, pcs, vts)
+
+    def test_kernel_across_sub_blocks(self, ref):
+        lo = 2**62 + 12345
+        hi = lo + 2 * _WIDE_BLOCK + 4
+        chunk = _classify_wide(lo, hi)
+        assert chunk.pcs.tolist() == _ref_rows(ref, lo, hi)[2]
+
+    @pytest.mark.parametrize(
+        "n,pc",
+        [
+            (18446744073705357314, 66),
+            (18446744073705357773, 78),
+            (18446744073706585829, 91),
+        ],
+    )
+    def test_popcounts_past_64_classify(self, ref, n, pc):
+        # t_n has up to 127 bits, so triangular popcounts above 64 occur
+        assert ref.popcount(ref.triangular(n)) == pc and ref.is_vt_index(n)
+        chunk = _classify(n, n)
+        assert chunk.pcs.tolist() == [pc]
+        assert chunk.vts.tolist() == [True]
+
+    def test_last_wide_index(self, ref):
+        n = WIDE_INDEX_LIMIT
+        chunk = _classify(n, n)
+        # t_(2^64 - 1) = 2^127 - 2^63: 64 ones, and 64 is not triangular
+        assert chunk.rows() == ([n], [2**127 - 2**63], [64], [False])
+        assert chunk.rows() == _ref_rows(ref, n, n)
+
+    def test_chunk_bounds_split_at_both_limits(self):
+        lo, hi = FAST_INDEX_LIMIT - 1, WIDE_INDEX_LIMIT + 2
+        assert list(_chunk_bounds(lo, hi, 2**70)) == [
+            (lo, FAST_INDEX_LIMIT),
+            (FAST_INDEX_LIMIT + 1, WIDE_INDEX_LIMIT),
+            (WIDE_INDEX_LIMIT + 1, hi),
+        ]
+
+    @pytest.mark.parametrize("limit", [FAST_INDEX_LIMIT, WIDE_INDEX_LIMIT])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    def test_records_across_tier_limits(self, ref, limit, chunk):
+        lo, hi = limit - 40, limit + 40
+        records = []
+        scan(lo, hi, records.append, chunk_size=chunk)
+        rows = _ref_rows(ref, lo, hi)
+        assert records == [VtRecord(*row) for row in zip(*rows)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        lo=st.integers(min_value=WIDE_INDEX_LIMIT - 250, max_value=WIDE_INDEX_LIMIT),
+        width=st.integers(min_value=0, max_value=250),
+        chunk=st.integers(min_value=1, max_value=64),
+        threads=st.sampled_from([1, 2]),
+        min_len=st.integers(min_value=1, max_value=3),
+    )
+    def test_outputs_across_last_wide_index(self, ref, lo, width, chunk, threads, min_len):
+        hi = lo + width
+        rows = _ref_rows(ref, lo, hi)
+        for fmt, header in (("jsonl", b""), ("csv", b"n,t,pc,vt\n")):
+            blocks = stream_scan(lo, hi, fmt, chunk_size=chunk, threads=threads)
+            assert b"".join(b.payload for b in blocks) == header + format_block(rows, fmt)
+        summary = scan(lo, hi, min_run_len=min_len, chunk_size=chunk, threads=threads)
+        expected = _expected_runs(ref, lo, hi, min_len)
+        assert summary.runs_found == expected
+        assert summary.vt_count == sum(rows[3])
+        assert find_runs(lo, hi, min_len, threads=threads) == [
+            r for r in expected if r.length >= min_len
+        ]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_checkpoint_mid_tier_resumes(self, tmp_path, fmt):
+        # the twin pair (2^36 - 2, 2^36 - 1) is open at the block ending 2^36 - 2
+        lo, hi = 2**36 - 41, 2**36 + 40
+        path = tmp_path / "cp.json"
+        blocks = list(stream_scan(lo, hi, fmt, chunk_size=8))
+        whole = b"".join(b.payload for b in blocks)
+        assert (2**36 - 2, 1) in [b.checkpoint.open_run for b in blocks]
+        for i, block in enumerate(blocks):
+            checkpoint_save(block.checkpoint, path)
+            state = checkpoint_resume(path)
+            head = b"".join(b.payload for b in blocks[: i + 1])
+            tail = b"".join(b.payload for b in stream_scan(lo, hi, fmt, chunk_size=5, resume=state))
+            assert head + tail == whole
+            resumed = resume_scan(dataclasses.replace(state, fmt=None), min_run_len=2)
+            twin = Run(2**36 - 2, 2, (36, 36))
+            assert (twin in resumed.runs_found) == (state.next <= 2**36)
 
 
 class TestRuns:
