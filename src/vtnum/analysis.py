@@ -1,7 +1,8 @@
 """Higher-level procedures over the scanner and the witness families:
 density series, interval witnesses, certified all-non-VT windows,
-popcount periodicity checks, exhaustive conjecture sweeps, and
-arithmetic-progression search.
+popcount periodicity checks, the exhaustive popcount-<=3 sweeps (one
+engine that inverts values with at most 3 set bits rather than walking
+indexes), and arithmetic-progression search.
 """
 from __future__ import annotations
 
@@ -312,7 +313,7 @@ def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
     Uses the constant-popcount successor (Gosper's hack).  Ascending
     numeric order coincides with colexicographic order on the bit
     position sets, so an interrupted sweep can resume from the last
-    value it saw.
+    value it saw.  The tests check the value-side sweeps below against it.
     """
     _require(weight >= 1, f"weight must be >= 1, got {weight}")
     _require(max_bits >= weight, f"max_bits must be >= weight = {weight}, got {max_bits}")
@@ -325,41 +326,45 @@ def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
         v = (((ripple ^ v) >> 2) // low) | ripple
 
 
+def _low_popcount_triangulars(max_bits: int) -> list[tuple[int, int]]:
+    """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
+
+    Inverts the O(max_bits^3) values with 1 to 3 set bits below
+    2^(2*max_bits - 1); t_n < 2^(2B-1) iff n(n+1) < 2^(2B) iff n < 2^B.
+    """
+    powers = [1 << i for i in range(2 * max_bits - 1)]
+    values = (sum(bits) for ones in (1, 2, 3) for bits in combinations(powers, ones))
+    hits = ((is_triangular(value), value) for value in values)
+    return sorted((n, value) for n, value in hits if n is not None)
+
+
 def conjecture_no6(weight: int, max_bits: int) -> list[int]:
-    """Sweep every index of the given binary weight for popcount(t_n) <= 3.
+    """Every index n < 2^max_bits of the given binary weight with popcount(t_n) <= 3.
 
     Returns the counterexample indexes found; an empty list supports the
     claim that indexes of weight >= 6 never produce a triangular number
     with 3 or fewer set bits.  weight must be >= 6 (lower weights have
-    known witnesses and are not part of the claim).
+    known witnesses and are not part of the claim).  All C(max_bits,
+    weight) indexes are covered by inverting every value t_n could take.
     """
     _require(weight >= 6, f"weight must be >= 6, got {weight}")
     _require(max_bits >= weight, f"max_bits must be >= weight = {weight}, got {max_bits}")
-    return [
-        n for n in weight_enumerate(weight, max_bits) if triangular(n).bit_count() <= 3
-    ]
+    return [n for n, _ in _low_popcount_triangulars(max_bits) if n.bit_count() == weight]
 
 
 def popcount3_census(max_weight: int, max_bits: int) -> list[int]:
     """Every t_n with popcount exactly 3, over indexes n < 2^max_bits of
     binary weight at most max_weight, ascending.
 
-    Enumerates candidate values with three set bits and inverts them,
-    so the cost is cubic in the value bit length instead of exponential
-    in max_weight.  The exhaustive-classification claim is theorem
-    backed for max_weight <= 5; larger weights are exploratory.
+    Inverts candidate values with at most three set bits, so the cost is
+    cubic in the value bit length instead of exponential in max_weight.
+    The exhaustive-classification claim is theorem backed for
+    max_weight <= 5; larger weights are exploratory.
     """
     _require(max_weight >= 1, f"max_weight must be >= 1, got {max_weight}")
     _require(max_bits >= 1, f"max_bits must be >= 1, got {max_bits}")
-    limit = 1 << max_bits
-    top = (limit - 1) * limit // 2  # t_(2^max_bits - 1), the largest value possible
-    hits: list[int] = []
-    for a, b, c in combinations(range(top.bit_length()), 3):
-        value = (1 << a) | (1 << b) | (1 << c)
-        n = is_triangular(value)
-        if n is not None and n < limit and n.bit_count() <= max_weight:
-            hits.append(value)
-    return sorted(hits)
+    hits = _low_popcount_triangulars(max_bits)
+    return [t for n, t in hits if t.bit_count() == 3 and n.bit_count() <= max_weight]
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,14 @@ def _write(blocks: Iterable[bytes]) -> None:
     out.flush()
 
 
-def _write_json_line(payload: dict) -> None:
-    line = json.dumps(payload, separators=(",", ":")) + "\n"
-    sys.stdout.buffer.write(line.encode("ascii"))
-    sys.stdout.buffer.flush()
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _write_json_lines(payloads: Iterable[dict]) -> None:
+    """One compact, ASCII-only JSON object per line, in one buffered call."""
+    out = sys.stdout.buffer
+    out.writelines((_JSON.encode(p) + "\n").encode("ascii") for p in payloads)
+    out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +166,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _emit_runs(runs) -> None:
-    out = sys.stdout.buffer
-    for run in runs:
-        payload = {
+    _write_json_lines(
+        {
             "start": run.start,
             "length": run.length,
             "popcounts": list(run.popcounts),
             "truncated_left": run.truncated_left,
             "truncated_right": run.truncated_right,
         }
-        out.write((json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii"))
-    out.flush()
+        for run in runs
+    )
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
@@ -210,8 +213,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
         if option not in needed and value is not None:
             raise ParameterError(f"family {args.name} does not take --{option}")
     witness = builder(**{option: getattr(args, option) for option in needed})
-    _write_json_line(
-        {
+    _write_json_lines(
+        [{
             "family": witness.family.value,
             "params": dict(witness.params),
             "indices": [str(i) for i in witness.indices],
@@ -220,7 +223,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
             "actual_popcounts": list(witness.actual_popcounts),
             "expect_vt": witness.expect_vt,
             "matches": witness.matches,
-        }
+        }]
     )
     if not witness.matches:
         print(f"vt: family {args.name} witness failed verification", file=sys.stderr)
@@ -240,8 +243,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_bertrand(args: argparse.Namespace) -> int:
     report = bertrand_check(args.n)
-    _write_json_line(
-        {
+    _write_json_lines(
+        [{
             "n": report.n,
             "t_n": str(report.t_lo),
             "t_2n": str(report.t_hi),
@@ -250,7 +253,7 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
                 str(report.theorem_witness) if report.theorem_witness is not None else None
             ),
             "theorem_case": report.theorem_case,
-        }
+        }]
     )
     expected_nonempty = report.n in (4, 5, 6) or report.n > 9
     if expected_nonempty and not report.witnesses:
@@ -267,8 +270,8 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.demonstrate is None):
         raise ParameterError("gaps needs exactly one of --k or --demonstrate")
     report = gap_window(args.k) if args.k is not None else gap_demonstration(args.demonstrate)
-    _write_json_line(
-        {
+    _write_json_lines(
+        [{
             "k": report.k,
             "window": [str(report.window[0]), str(report.window[1])],
             "member_popcounts": list(report.member_popcounts),
@@ -277,7 +280,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
                 str(m): pc for m, pc in report.power_offset_popcounts
             },
             "predictions_match": report.predictions_match,
-        }
+        }]
     )
     if not (report.all_non_vt and report.predictions_match):
         print(f"vt: gap window for k = {report.k} failed verification", file=sys.stderr)
@@ -298,7 +301,7 @@ def _cmd_periodicity(args: argparse.Namespace) -> int:
             "k": args.k,
             "holds": holds,
         }
-    _write_json_line(payload)
+    _write_json_lines([payload])
     if not holds:
         print("vt: periodicity check failed", file=sys.stderr)
         return 1
@@ -319,22 +322,16 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     values = popcount3_census(args.max_weight, args.max_bits)
-    records = []
-    for value in values:
-        index = is_triangular(value)
-        assert index is not None  # census only returns triangular values
-        records.append(classify_index(index))
-    _write(emit(records, args.emit))
+    _write(emit([classify_index(is_triangular(v)) for v in values], args.emit))
     return 0
 
 
 def _cmd_ap(args: argparse.Namespace) -> int:
     hits = ap_search(args.length, args.from_, args.to, args.max_diff)
-    out = sys.stdout.buffer
-    for hit in hits:
-        payload = {"first": hit.first, "difference": hit.difference, "length": hit.length}
-        out.write((json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii"))
-    out.flush()
+    _write_json_lines(
+        {"first": hit.first, "difference": hit.difference, "length": hit.length}
+        for hit in hits
+    )
     return 0
 
 

@@ -437,12 +437,6 @@ def _ordered_map(fn: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
             yield result
 
 
-def _iter_chunks(
-    lo: int, hi: int, *, chunk_size: int = DEFAULT_CHUNK, threads: int = 1
-) -> Iterator[_Chunk]:
-    yield from _ordered_map(_classify, _chunk_bounds(lo, hi, chunk_size), threads)
-
-
 # ---------------------------------------------------------------------------
 # Run tracking
 
@@ -762,9 +756,7 @@ def sigma_enumerate(count: int) -> list[int]:
     size = 1 << 12
     while len(found) < count:
         hi = lo + size - 1
-        for chunk in _iter_chunks(lo, hi):
-            hits = np.flatnonzero(chunk.vts)
-            found.extend(int(i) + chunk.lo for i in hits)
+        found.extend(lo + int(i) for i in np.flatnonzero(vt_flags(lo, hi)))
         lo = hi + 1
         size = min(size * 2, DEFAULT_CHUNK)
     return found[:count]
@@ -772,17 +764,14 @@ def sigma_enumerate(count: int) -> list[int]:
 
 def count_vt(lo: int, hi: int, *, threads: int = 1) -> int:
     """Number of very triangular indexes in [lo, hi]."""
-    _require_range(lo, hi)
-    _require_threads(threads)
-    return sum(
-        chunk.vt_count for chunk in _iter_chunks(lo, hi, threads=threads)
-    )
+    return scan(lo, hi, min_run_len=None, threads=threads).vt_count
 
 
 def vt_flags(lo: int, hi: int) -> np.ndarray:
     """Boolean mask over [lo, hi]: element i classifies index lo + i."""
     _require_range(lo, hi)
-    return np.concatenate([chunk.vts for chunk in _iter_chunks(lo, hi)])
+    bounds = _chunk_bounds(lo, hi, DEFAULT_CHUNK)
+    return np.concatenate([_classify(a, b).vts for a, b in bounds])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from vtnum import (
     triangular,
     weight_enumerate,
 )
+from vtnum.analysis import _low_popcount_triangulars
 
 
 class TestDensity:
@@ -265,6 +266,28 @@ class TestWeightEnumerate:
             list(weight_enumerate(3, 2))
 
 
+class TestLowPopcountEngine:
+    """The value-side engine against the index-side Gosper sweep."""
+
+    @pytest.mark.parametrize("bits", range(1, 19))
+    def test_agrees_with_weight_sweep(self, bits, ref):
+        want = sorted(
+            (n, ref.triangular(n))
+            for weight in range(1, min(bits, 9) + 1)
+            for n in weight_enumerate(weight, bits)
+            if ref.popcount(ref.triangular(n)) <= 3
+        )
+        assert _low_popcount_triangulars(bits) == want
+
+    def test_reaches_the_widest_value_and_no_further(self):
+        # t_(2^B - 1) has 2B - 1 bits (t_3 = 6, t_7 = 28); t_(2^B) is out of range
+        assert _low_popcount_triangulars(1) == [(1, 1)]
+        assert _low_popcount_triangulars(2) == [(1, 1), (2, 3), (3, 6)]
+        assert _low_popcount_triangulars(3)[-1] == (7, 28)
+        assert popcount3_census(3, 3) == [21, 28]
+        assert popcount3_census(2, 3) == [21]
+
+
 class TestConjectureSweep:
     def test_weight_six_clean_to_twenty_bits(self):
         assert conjecture_no6(6, 20) == []
@@ -281,6 +304,9 @@ class TestConjectureSweep:
             and ref.popcount(ref.triangular(n)) <= 3
         ]
         assert got == want
+
+    def test_weight_six_clean_to_sixty_four_bits(self):
+        assert conjecture_no6(6, 64) == []
 
     def test_rejects_low_weight(self):
         with pytest.raises(ParameterError):
@@ -304,6 +330,13 @@ class TestPopcount3Census:
             and ref.popcount(ref.triangular(n)) == 3
         ]
         assert got == want
+
+    def test_agrees_with_direct_filter_at_every_weight(self, ref):
+        bits = 16
+        hits = [n for n in range(1, 2**bits) if ref.popcount(ref.triangular(n)) == 3]
+        for max_weight in range(1, bits + 1):
+            want = [ref.triangular(n) for n in hits if bin(n).count("1") <= max_weight]
+            assert popcount3_census(max_weight, bits) == want, max_weight
 
     def test_values_are_triangular_with_popcount_3(self):
         for value in popcount3_census(5, 40):
