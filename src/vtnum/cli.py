@@ -104,9 +104,10 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _write_json_lines(payloads: Iterable[dict]) -> None:
-    """One compact, ASCII-only JSON object per line, in one buffered call."""
+    """One compact, ASCII-only JSON object per line, then one flush."""
     out = sys.stdout.buffer
-    out.writelines((_JSON.encode(p) + "\n").encode("ascii") for p in payloads)
+    for payload in payloads:
+        out.write((_JSON.encode(payload) + "\n").encode("ascii"))
     out.flush()
 
 

@@ -322,16 +322,6 @@ class TestPopcount3Census:
         assert popcount3_census(1, 22) == []
 
     def test_agrees_with_direct_filter(self, ref):
-        got = popcount3_census(5, 16)
-        want = [
-            ref.triangular(n)
-            for n in range(1, 2**16)
-            if bin(n).count("1") <= 5
-            and ref.popcount(ref.triangular(n)) == 3
-        ]
-        assert got == want
-
-    def test_agrees_with_direct_filter_at_every_weight(self, ref):
         bits = 16
         hits = [n for n in range(1, 2**bits) if ref.popcount(ref.triangular(n)) == 3]
         for max_weight in range(1, bits + 1):

@@ -424,6 +424,42 @@ class TestConjectureAndCensus:
         assert code == 2
 
 
+class _WriteFlushOnly:
+    """A stdout whose buffer offers only write and flush, like a wrapped pipe."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.buffer = self
+
+    def write(self, data):
+        self.data += data
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+class TestStdoutInterface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runs", "--from", "1", "--to", "1000", "--min-len", "3"],
+            ["twins", "--from", "40", "--to", "50"],
+            ["ap", "--length", "3", "--from", "1", "--to", "1000", "--max-diff", "1"],
+            ["census", "--max-weight", "5", "--max-bits", "22"],
+            ["scan", "--from", "1", "--to", "100"],
+            ["family", "even", "--ell", "2", "--n", "4"],
+            ["bertrand", "--n", "19"],
+        ],
+    )
+    def test_verbs_need_only_write_and_flush(self, argv, capsysbinary, monkeypatch):
+        _, want, _ = run_cli(argv, capsysbinary)
+        out = _WriteFlushOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert dispatch(list(argv)) == 0
+        assert bytes(out.data) == want
+
+
 class TestApVerb:
     def test_hits(self, capsysbinary):
         code, out, _ = run_cli(
