@@ -155,6 +155,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             with _checkpoint_file(args.checkpoint):
                 checkpoint_save(block.checkpoint, args.checkpoint)
         last_state = block.checkpoint
+        del block  # release the payload before the next chunk is formatted
     out.flush()
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         os.remove(args.checkpoint)  # finished: a rerun starts fresh

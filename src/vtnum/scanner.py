@@ -22,6 +22,13 @@ Output formats (byte exact, ASCII):
 
 t is serialized as a decimal string in JSON so consumers limited to
 53-bit floats cannot corrupt large values.
+
+Records are formatted by one of two paths, picked from the values
+alone.  When every n and t is below 2^64, as in a one-word chunk, a
+numpy kernel writes fixed-width rows of bytes (digits from a table of
+4-digit groups, leading zeros and padding as NUL bytes) and deletes
+the NULs.  Otherwise each line is an f-string: the only exact path for
+larger values, and the reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -343,6 +350,16 @@ class _Chunk:
             ts = list(acc)
         return list(ns), ts, self.pcs.tolist(), self.vts.tolist()
 
+    def columns(self) -> tuple:
+        """The (n, t, pc, vt) columns for :func:`format_block`.
+
+        One-word chunks hand over their arrays, which the numpy
+        formatter takes as they are; other tiers build :meth:`rows`.
+        """
+        if self.ts is None:
+            return self.rows()
+        return np.arange(self.lo, self.hi + 1, dtype=np.uint64), self.ts, self.pcs, self.vts
+
     def iter_records(self) -> Iterator[VtRecord]:
         for n, t, pc, vt in zip(*self.rows()):
             yield VtRecord(n, t, pc, vt)
@@ -435,6 +452,7 @@ def _ordered_map(fn: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
             if nxt is not None:
                 pending.append(pool.submit(fn, *nxt))
             yield result
+            del result  # release it before the next result is awaited
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +594,7 @@ def _drive(
 
     def job(a: int, b: int) -> tuple[_Chunk, bytes]:
         chunk = _classify(a, b)
-        return chunk, b"" if fmt is None else format_block(chunk.rows(), fmt)
+        return chunk, b"" if fmt is None else format_block(chunk.columns(), fmt)
 
     vt_total = state.vt_count
     bounds = _chunk_bounds(state.next, state.hi, chunk_size)
@@ -593,6 +611,7 @@ def _drive(
             current_t=chunk.hi * (chunk.hi + 1) // 2,
             fmt=fmt,
         )
+        del chunk, payload  # release them before the next chunk is formatted
 
 
 def scan(
@@ -780,22 +799,138 @@ def vt_flags(lo: int, hi: int) -> np.ndarray:
 
 _CSV_HEADER = b"n,t,pc,vt\n"
 
+# One line per record, the definition of each format's bytes.  The f-string
+# path calls it per record; the numpy kernel cuts its layout out of it.
+_LINES: dict[str, Callable[[object, object, int, bool], str]] = {
+    "jsonl": lambda n, t, pc, vt: (
+        f'{{"n":{n},"t":"{t}","pc":{pc},"vt":{"true" if vt else "false"}}}\n'
+    ),
+    "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
+}
 
-def format_block(chunk_rows: tuple[list[int], list[int], list[int], list[bool]], fmt: str) -> bytes:
-    """Serialize classified rows to the byte-exact jsonl or csv body."""
+_WORD = 1 << 64
+_WORD_DIGITS = 20  # decimal digits of 2^64 - 1
+_PC_LIMIT = 100  # popcounts the kernel formats; a one-word value has at most 64
+_FORMAT_BLOCK = 1 << 15  # rows per pass of the kernel: its row matrix stays cache sized
+_E8 = np.uint64(10**8)
+_E4 = np.uint32(10**4)
+_POW10 = np.array([10**k for k in range(1, _WORD_DIGITS)], dtype=np.uint64)
+
+
+def _digit_groups() -> np.ndarray:
+    """Entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), dtype=np.uint32)
+
+
+_DIGIT_GROUPS = _digit_groups()
+
+
+def _layout(line: Callable[[object, object, int, bool], str]) -> tuple[bytes, bytes, np.ndarray]:
+    """Cut a format's line around n and t.
+
+    Returns the bytes before n, the bytes between n and t, and a table
+    whose row 2 * pc + vt holds the rest of the line, NUL padded.
+    """
+    lead, _, rest = line("\1", "\2", 0, False).partition("\1")
+    mid = rest.partition("\2")[0]
+    tails = [
+        line("\1", "\2", pc, vt).partition("\2")[2].encode("ascii")
+        for pc in range(_PC_LIMIT)
+        for vt in (False, True)
+    ]
+    width = max(map(len, tails))
+    table = np.frombuffer(b"".join(tail.ljust(width, b"\0") for tail in tails), np.uint8)
+    return lead.encode("ascii"), mid.encode("ascii"), table.reshape(len(tails), width)
+
+
+_LAYOUTS = {fmt: _layout(line) for fmt, line in _LINES.items()}
+
+
+def _put_decimal(cells: np.ndarray, values: np.ndarray) -> None:
+    """Write uint64 values into a (rows, 20) byte field, right aligned, NUL padded.
+
+    Each value splits into three limbs of 8 digits by divmod 10^8 (the top
+    one is below 1845), and each limb into 4-digit groups looked up in
+    _DIGIT_GROUPS.
+    """
+    high, low = np.divmod(values, _E8)
+    top, mid = np.divmod(high, _E8)
+    groups = np.stack(
+        [
+            top.astype(np.uint32),
+            *np.divmod(mid.astype(np.uint32), _E4),
+            *np.divmod(low.astype(np.uint32), _E4),
+        ],
+        axis=1,
+    )
+    cells[:] = np.take(_DIGIT_GROUPS, groups).view(np.uint8)
+    # leading zeros become NUL, one slice per run of rows with equal digit counts
+    zeros = _WORD_DIGITS - 1 - np.searchsorted(_POW10, values, side="right")
+    cuts = (np.flatnonzero(zeros[1:] != zeros[:-1]) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, values.size]):
+        cells[a:b, : zeros[a]] = 0
+
+
+def _format_words(
+    ns: np.ndarray, ts: np.ndarray, pcs: np.ndarray, vts: np.ndarray, fmt: str
+) -> bytearray:
+    """The numpy path of :func:`format_block`: n, t < 2^64 and pc < _PC_LIMIT.
+
+    Each pass fills a matrix with one fixed-width row per record, then
+    deletes its NUL bytes.  The result grows in place rather than being
+    joined, so no second copy of the whole payload is made.
+    """
+    lead, mid, tails = _LAYOUTS[fmt]
+    n_at = len(lead)
+    t_at = n_at + _WORD_DIGITS + len(mid)
+    tail_at = t_at + _WORD_DIGITS
+    out = bytearray()
+    for a in range(0, ns.size, _FORMAT_BLOCK):
+        b = min(a + _FORMAT_BLOCK, ns.size)
+        rows = np.empty((b - a, tail_at + tails.shape[1]), dtype=np.uint8)
+        rows[:, :n_at] = np.frombuffer(lead, np.uint8)
+        rows[:, n_at + _WORD_DIGITS : t_at] = np.frombuffer(mid, np.uint8)
+        _put_decimal(rows[:, n_at : n_at + _WORD_DIGITS], ns[a:b])
+        _put_decimal(rows[:, t_at:tail_at], ts[a:b])
+        rows[:, tail_at:] = np.take(tails, pcs[a:b].astype(np.intp) * 2 + vts[a:b], axis=0)
+        out += rows.tobytes().translate(None, b"\0")
+    return out
+
+
+def _format_exact(columns: tuple, fmt: str) -> bytes:
+    """The f-string path of :func:`format_block`, exact for any value."""
+    return "".join(map(_LINES[fmt], *columns)).encode("ascii")
+
+
+def _all_below(column, limit: int) -> bool:
+    """Whether every value in the column lies in [0, limit)."""
+    if len(column) == 0:
+        return True
+    if isinstance(column, np.ndarray):
+        return int(column.min()) >= 0 and int(column.max()) < limit
+    return min(column) >= 0 and max(column) < limit
+
+
+def format_block(columns: tuple, fmt: str) -> bytes:
+    """Serialize classified rows to the byte-exact jsonl or csv body.
+
+    ``columns`` is (n, t, pc, vt): four equal-length sequences or numpy
+    arrays.  When every n and t is below 2^64 and every pc below 100
+    (the popcount of such a t is at most 64), the rows go through the
+    numpy kernel and the result is a bytearray; otherwise through one
+    f-string per line.  Both give the same bytes.
+    """
     _require_format(fmt)
-    ns, ts, pcs, vts = chunk_rows
-    if fmt == "jsonl":
-        lines = [
-            f'{{"n":{n},"t":"{t}","pc":{p},"vt":{"true" if v else "false"}}}\n'
-            for n, t, p, v in zip(ns, ts, pcs, vts)
-        ]
-    else:
-        lines = [
-            f"{n},{t},{p},{'true' if v else 'false'}\n"
-            for n, t, p, v in zip(ns, ts, pcs, vts)
-        ]
-    return "".join(lines).encode("ascii")
+    ns, ts, pcs, vts = columns
+    if _all_below(ns, _WORD) and _all_below(ts, _WORD) and _all_below(pcs, _PC_LIMIT):
+        return _format_words(
+            np.asarray(ns, dtype=np.uint64),
+            np.asarray(ts, dtype=np.uint64),
+            np.asarray(pcs, dtype=np.uint8),
+            np.asarray(vts, dtype=bool),
+            fmt,
+        )
+    return _format_exact(columns, fmt)
 
 
 @dataclass(frozen=True)
@@ -851,13 +986,14 @@ def stream_scan(
         state = resume
         header = b""  # the interrupted stream already wrote it
     tracker = _RunTracker(lo, None, state.open_run)
-    for _, payload, checkpoint in _drive(
+    for chunk, payload, checkpoint in _drive(
         state, tracker, fmt, threads=threads, chunk_size=chunk_size
     ):
         if header:
             payload = header + payload
             header = b""
         yield StreamBlock(payload=payload, checkpoint=checkpoint)
+        del chunk, payload  # release them before the next chunk is formatted
 
 
 def _require_range(lo: int, hi: int) -> None:

@@ -42,6 +42,21 @@ class TestEmitHelper:
         with pytest.raises(ParameterError):
             emit([], "yaml")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_values_on_both_sides_of_2_64(self, fmt):
+        # t_n reaches 2^64 at n = 6074001000
+        records = [classify_index(n) for n in (3, 6074000999, 6074001000, 2**64, 10)]
+        if fmt == "jsonl":
+            lines = [
+                f'{{"n":{r.n},"t":"{r.t}","pc":{r.popcount},"vt":{str(r.is_vt).lower()}}}\n'
+                for r in records
+            ]
+        else:
+            lines = ["n,t,pc,vt\n"] + [
+                f"{r.n},{r.t},{r.popcount},{str(r.is_vt).lower()}\n" for r in records
+            ]
+        assert b"".join(emit(records, fmt)) == "".join(lines).encode("ascii")
+
 
 class TestCheck:
     def test_single_index(self, capsysbinary):

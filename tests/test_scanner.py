@@ -1,6 +1,7 @@
 """Range scanning: chunking, tiers, runs, checkpoints, byte streams."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,10 +33,13 @@ from vtnum import (
     vt_flags,
 )
 from vtnum.scanner import (
+    _CSV_HEADER,
+    _FORMAT_BLOCK,
     _WIDE_BLOCK,
     _chunk_bounds,
     _classify,
     _classify_wide,
+    _format_exact,
     _leading_true,
     _long_runs,
     _trailing_true,
@@ -823,6 +827,112 @@ class TestByteStreams:
         )
         combined = blocks[0].payload + blocks[1].payload + rest
         assert combined.count(b"n,t,pc,vt\n") == 1
+
+
+def _first_index_past_word():
+    """The smallest n with t_n >= 2^64."""
+    n = math.isqrt(2**65)
+    while n * (n + 1) // 2 >= 2**64:
+        n -= 1
+    while n * (n + 1) // 2 < 2**64:
+        n += 1
+    return n
+
+
+# where n or t gains a decimal digit, the tier limits, and where t reaches 2^64
+_DIGIT_EDGES = sorted(
+    {10**k for k in range(1, 11)}
+    | {math.isqrt(2 * 10**k) for k in range(1, 20)}
+    | {FAST_INDEX_LIMIT + 1, _first_index_past_word(), WIDE_INDEX_LIMIT + 1}
+)
+_window_lo = st.sampled_from(_DIGIT_EDGES).flatmap(
+    lambda edge: st.integers(min_value=max(1, edge - 70), max_value=edge)
+)
+_words = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([0, 2**64 - 1, *(10**k + d for k in range(1, 20) for d in (-1, 0))]),
+)
+
+
+class TestWordFormatter:
+    """The numpy formatter against the f-string path, byte for byte."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(_words, _words, st.integers(min_value=0, max_value=99), st.booleans()),
+            max_size=60,
+        ),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+    )
+    def test_any_words_match_exact(self, rows, fmt):
+        ns, ts, pcs, vts = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+        arrays = (
+            np.array(ns, dtype=np.uint64),
+            np.array(ts, dtype=np.uint64),
+            np.array(pcs, dtype=np.uint8),
+            np.array(vts, dtype=bool),
+        )
+        got = format_block(arrays, fmt)
+        assert isinstance(got, bytearray)  # the numpy path ran
+        assert got == format_block((ns, ts, pcs, vts), fmt) == _format_exact(
+            (ns, ts, pcs, vts), fmt
+        )
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize(
+        "columns,numpy_path",
+        [
+            (([2**64 - 1], [2**64 - 1], [64], [False]), True),
+            (([1, 2**64 - 1], [1, 2**64], [1, 1], [True, True]), False),
+            (([2**64, 3], [1, 6], [1, 2], [True, False]), False),
+            (([7], [28], [100], [False]), False),
+            (([-1], [0], [0], [False]), False),
+            (([], [], [], []), True),
+        ],
+    )
+    def test_path_follows_the_values(self, columns, numpy_path, fmt):
+        got = format_block(columns, fmt)
+        assert isinstance(got, bytearray) == numpy_path
+        assert got == _format_exact(columns, fmt)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        lo=_window_lo,
+        width=st.integers(min_value=0, max_value=80),
+        chunk=st.integers(min_value=1, max_value=64),
+        threads=st.sampled_from([1, 2]),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+    )
+    def test_stream_matches_exact(self, ref, lo, width, chunk, threads, fmt):
+        hi = lo + width
+        header = _CSV_HEADER if fmt == "csv" else b""
+        blocks = stream_scan(lo, hi, fmt, chunk_size=chunk, threads=threads)
+        got = b"".join(b.payload for b in blocks)
+        assert got == header + _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lo=_window_lo,
+        width=st.integers(min_value=0, max_value=80),
+        chunk=st.integers(min_value=1, max_value=64),
+        cut=st.integers(min_value=0),
+    )
+    def test_csv_resume_matches_exact(self, ref, lo, width, chunk, cut):
+        hi = lo + width
+        blocks = list(stream_scan(lo, hi, "csv", chunk_size=chunk))
+        i = cut % len(blocks)
+        rest = stream_scan(lo, hi, "csv", chunk_size=chunk, resume=blocks[i].checkpoint)
+        got = b"".join(b.payload for b in blocks[: i + 1]) + b"".join(b.payload for b in rest)
+        assert got == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_chunk_across_kernel_passes(self, ref, fmt):
+        # n reaches 10^9 inside the second pass of one chunk
+        lo = 10**9 - _FORMAT_BLOCK - 100
+        hi = lo + 2 * _FORMAT_BLOCK + 5
+        got = b"".join(b.payload for b in stream_scan(lo, hi, fmt))
+        assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
 
 
 class TestSummaryEquality:
