@@ -2,14 +2,14 @@
 density series, interval witnesses, certified all-non-VT windows,
 popcount periodicity checks, the exhaustive popcount-<=3 sweeps (one
 engine that inverts values with at most 3 set bits rather than walking
-indexes), and arithmetic-progression search.
+indexes, after a quadratic-residue sieve has discarded almost all of
+them), and arithmetic-progression search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -326,15 +326,63 @@ def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
         v = (((ripple ^ v) >> 2) // low) | ripple
 
 
+# The residue sieve.  8v + 1 is a square when v is triangular, so a value
+# whose 8v + 1 is a non-square modulo some m cannot be triangular (Cohen,
+# A Course in Computational Algebraic Number Theory, 1.7.2).  Powers of
+# two tell nothing here: 8v + 1 = 1 (mod 8) is a square modulo every 2^e.
+# Each modulus is a product of two odd factors, so its table stays small
+# while at most 28% of its residues are squares (8% modulo 63 * 65).
+
+
+def _square_residues(m: int) -> np.ndarray:
+    """Boolean table over residues mod m: True exactly at the squares."""
+    table = np.zeros(m, dtype=bool)
+    table[np.arange(m) ** 2 % m] = True
+    return table
+
+
+_SQUARE_TABLES = tuple(
+    (m, _square_residues(m))
+    for m in (63 * 65, 11 * 31, 17 * 257, 19 * 37, 23 * 89, 29 * 43, 13 * 241)
+)
+
+
+def _sieved_candidates(width: int) -> Iterator[int]:
+    """Values with 1 to 3 set bits below 2^width that pass the residue sieve.
+
+    Values with one set bit are yielded unsieved.  Those with two or
+    three are 2^top + 2^high + 2^low (top absent for two), so 8v + 1
+    modulo m is a sum of table entries 8 * 2^i mod m.  The pairs
+    low < high come ordered by high, so the pairs below a top bit a are
+    the first a(a-1)/2 of them, and one top bit is sieved at a time.
+    """
+    yield from (1 << i for i in range(width))
+    high, low = np.tril_indices(width, -1)
+    residues = [
+        np.array([8 * pow(2, i, m) % m for i in range(width)], dtype=np.int32)
+        for m, _ in _SQUARE_TABLES
+    ]
+    pair_sums = [r[high] + r[low] for r in residues]
+    tops = [(None, len(high))] + [(a, a * (a - 1) // 2) for a in range(2, width)]
+    for top, count in tops:
+        keep = np.arange(count)
+        for (m, squares), r, sums in zip(_SQUARE_TABLES, residues, pair_sums):
+            offset = 1 if top is None else 1 + int(r[top])
+            keep = keep[squares[(sums[keep] + offset) % m]]
+        base = 0 if top is None else 1 << top
+        for h, l in zip(high[keep].tolist(), low[keep].tolist()):
+            yield base | 1 << h | 1 << l
+
+
 def _low_popcount_triangulars(max_bits: int) -> list[tuple[int, int]]:
     """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
 
-    Inverts the O(max_bits^3) values with 1 to 3 set bits below
+    Covers the O(max_bits^3) values with 1 to 3 set bits below
     2^(2*max_bits - 1); t_n < 2^(2B-1) iff n(n+1) < 2^(2B) iff n < 2^B.
+    The residue sieve drops every value it proves non-triangular, and
+    each survivor is inverted exactly with ``is_triangular``.
     """
-    powers = [1 << i for i in range(2 * max_bits - 1)]
-    values = (sum(bits) for ones in (1, 2, 3) for bits in combinations(powers, ones))
-    hits = ((is_triangular(value), value) for value in values)
+    hits = ((is_triangular(value), value) for value in _sieved_candidates(2 * max_bits - 1))
     return sorted((n, value) for n, value in hits if n is not None)
 
 
@@ -356,9 +404,10 @@ def popcount3_census(max_weight: int, max_bits: int) -> list[int]:
     """Every t_n with popcount exactly 3, over indexes n < 2^max_bits of
     binary weight at most max_weight, ascending.
 
-    Inverts candidate values with at most three set bits, so the cost is
-    cubic in the value bit length instead of exponential in max_weight.
-    The exhaustive-classification claim is theorem backed for
+    Sieves the candidate values with at most three set bits by quadratic
+    residues and inverts only the survivors, so the cost is cubic in the
+    value bit length instead of exponential in max_weight.  The
+    exhaustive-classification claim is theorem backed for
     max_weight <= 5; larger weights are exploratory.
     """
     _require(max_weight >= 1, f"max_weight must be >= 1, got {max_weight}")

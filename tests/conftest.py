@@ -6,6 +6,9 @@ counting, and triangularity from additive enumeration.  A bug in the
 fast kernels then shows up as a disagreement instead of being mirrored
 by the reference.
 """
+import math
+from itertools import combinations
+
 import pytest
 
 
@@ -57,6 +60,23 @@ def ref_runs(lo, hi, min_len):
     return runs
 
 
+def ref_low_popcount_triangulars(max_bits):
+    """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
+
+    The unsieved inversion: every value with 1 to 3 set bits below
+    2^(2*max_bits - 1) is tested with an integer square root.
+    """
+    powers = [1 << i for i in range(2 * max_bits - 1)]
+    hits = []
+    for ones in (1, 2, 3):
+        for bits in combinations(powers, ones):
+            value = sum(bits)
+            root = math.isqrt(8 * value + 1)
+            if root * root == 8 * value + 1:
+                hits.append(((root - 1) // 2, value))
+    return sorted(hits)
+
+
 class Reference:
     triangular = staticmethod(ref_triangular)
     popcount = staticmethod(ref_popcount)
@@ -64,6 +84,7 @@ class Reference:
     is_vt_index = staticmethod(ref_is_vt_index)
     vt_indexes = staticmethod(ref_vt_indexes)
     runs = staticmethod(ref_runs)
+    low_popcount_triangulars = staticmethod(ref_low_popcount_triangulars)
 
 
 @pytest.fixture(scope="session")

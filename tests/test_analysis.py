@@ -22,7 +22,7 @@ from vtnum import (
     triangular,
     weight_enumerate,
 )
-from vtnum.analysis import _low_popcount_triangulars
+from vtnum.analysis import _SQUARE_TABLES, _low_popcount_triangulars
 
 
 class TestDensity:
@@ -279,6 +279,16 @@ class TestLowPopcountEngine:
         )
         assert _low_popcount_triangulars(bits) == want
 
+    @pytest.mark.parametrize("bits", range(1, 41))
+    def test_agrees_with_unsieved_inversion(self, bits, ref):
+        assert _low_popcount_triangulars(bits) == ref.low_popcount_triangulars(bits)
+
+    def test_hits_at_128_bits(self, ref):
+        hits = _low_popcount_triangulars(128)
+        assert len(hits) == 134
+        for n, t in hits:
+            assert ref.triangular(n) == t and ref.popcount(t) <= 3 and n < 2**128
+
     def test_reaches_the_widest_value_and_no_further(self):
         # t_(2^B - 1) has 2B - 1 bits (t_3 = 6, t_7 = 28); t_(2^B) is out of range
         assert _low_popcount_triangulars(1) == [(1, 1)]
@@ -286,6 +296,14 @@ class TestLowPopcountEngine:
         assert _low_popcount_triangulars(3)[-1] == (7, 28)
         assert popcount3_census(3, 3) == [21, 28]
         assert popcount3_census(2, 3) == [21]
+
+
+class TestResidueSieve:
+    @pytest.mark.parametrize("m, squares", _SQUARE_TABLES, ids=[str(m) for m, _ in _SQUARE_TABLES])
+    def test_accepts_every_triangular_residue(self, m, squares, ref):
+        # t_n mod m repeats with period dividing 2m in n
+        rejected = [n for n in range(2 * m) if not squares[(8 * ref.triangular(n) + 1) % m]]
+        assert rejected == []
 
 
 class TestConjectureSweep:
@@ -308,6 +326,9 @@ class TestConjectureSweep:
     def test_weight_six_clean_to_sixty_four_bits(self):
         assert conjecture_no6(6, 64) == []
 
+    def test_weight_six_clean_to_128_bits(self):
+        assert conjecture_no6(6, 128) == []
+
     def test_rejects_low_weight(self):
         with pytest.raises(ParameterError):
             conjecture_no6(5, 20)
@@ -316,6 +337,9 @@ class TestConjectureSweep:
 class TestPopcount3Census:
     def test_known_values_below_22_bits(self):
         assert popcount3_census(5, 22) == [21, 28, 276, 1540]
+
+    def test_known_values_below_128_bits(self):
+        assert popcount3_census(5, 128) == [21, 28, 276, 1540]
 
     def test_tight_weight_bound(self):
         assert popcount3_census(3, 22) == [21, 28]

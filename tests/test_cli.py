@@ -432,6 +432,14 @@ class TestConjectureAndCensus:
         assert [r["t"] for r in rows] == ["21", "28", "276", "1540"]
         assert all(r["pc"] == 3 and r["vt"] for r in rows)
 
+    def test_census_at_128_bits_prints_the_22_bit_bytes(self, capsysbinary):
+        _, want, _ = run_cli(["census", "--max-weight", "5", "--max-bits", "22"], capsysbinary)
+        code, out, _ = run_cli(
+            ["census", "--max-weight", "5", "--max-bits", "128"], capsysbinary
+        )
+        assert code == 0
+        assert out == want
+
     def test_rejects_low_weight(self, capsysbinary):
         code, _, _ = run_cli(
             ["conjecture", "--weight", "5", "--max-bits", "18"], capsysbinary
