@@ -29,6 +29,7 @@ scan indexes and popcounts stay plain numbers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -101,13 +102,19 @@ def _write(blocks: Iterable[bytes]) -> None:
 
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
+_JSON_BATCH = 1 << 12  # lines joined into one write
 
 
 def _write_json_lines(payloads: Iterable[dict]) -> None:
-    """One compact, ASCII-only JSON object per line, then one flush."""
+    """One compact, ASCII-only JSON object per line, then one flush.
+
+    Lines are joined _JSON_BATCH at a time and each batch is one write,
+    so an unbuffered stdout makes one system call per batch, not per line.
+    """
     out = sys.stdout.buffer
-    for payload in payloads:
-        out.write((_JSON.encode(payload) + "\n").encode("ascii"))
+    lines = (_JSON.encode(payload) + "\n" for payload in payloads)
+    while batch := "".join(itertools.islice(lines, _JSON_BATCH)):
+        out.write(batch.encode("ascii"))
     out.flush()
 
 
@@ -149,13 +156,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for block in stream_scan(
         args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
     ):
-        out.write(block.payload)
+        for piece in block.pieces():  # each piece is written before the next is formatted
+            out.write(piece)
         if args.checkpoint is not None:
             out.flush()
             with _checkpoint_file(args.checkpoint):
                 checkpoint_save(block.checkpoint, args.checkpoint)
         last_state = block.checkpoint
-        del block  # release the payload before the next chunk is formatted
+        del block  # release the chunk before the next one is classified
     out.flush()
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         os.remove(args.checkpoint)  # finished: a rerun starts fresh

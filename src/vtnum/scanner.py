@@ -340,25 +340,30 @@ class _Chunk:
     def vt_count(self) -> int:
         return int(np.count_nonzero(self.vts))
 
-    def rows(self) -> tuple[list[int], list[int], list[int], list[bool]]:
-        ns = range(self.lo, self.hi + 1)
+    def rows(
+        self, a: int = 0, b: int | None = None
+    ) -> tuple[list[int], list[int], list[int], list[bool]]:
+        """The (n, t, pc, vt) columns of rows [a, b) of the chunk, as lists."""
+        b = self.vts.size if b is None else b
+        ns = range(self.lo + a, self.lo + b)
         if self.ts is not None:
-            ts = self.ts.tolist()
+            ts = self.ts[a:b].tolist()
         else:
-            acc = itertools.accumulate(ns, initial=self.lo * (self.lo - 1) // 2)
-            next(acc)  # t_(lo-1)
+            acc = itertools.accumulate(ns, initial=ns.start * (ns.start - 1) // 2)
+            next(acc)  # t_(n-1) of the first row
             ts = list(acc)
-        return list(ns), ts, self.pcs.tolist(), self.vts.tolist()
+        return list(ns), ts, self.pcs[a:b].tolist(), self.vts[a:b].tolist()
 
-    def columns(self) -> tuple:
-        """The (n, t, pc, vt) columns for :func:`format_block`.
+    def columns(self, a: int, b: int) -> tuple:
+        """The (n, t, pc, vt) columns of rows [a, b) for :func:`format_block`.
 
-        One-word chunks hand over their arrays, which the numpy
+        One-word chunks hand over slices of their arrays, which the numpy
         formatter takes as they are; other tiers build :meth:`rows`.
         """
         if self.ts is None:
-            return self.rows()
-        return np.arange(self.lo, self.hi + 1, dtype=np.uint64), self.ts, self.pcs, self.vts
+            return self.rows(a, b)
+        ns = np.arange(self.lo + a, self.lo + b, dtype=np.uint64)
+        return ns, self.ts[a:b], self.pcs[a:b], self.vts[a:b]
 
     def iter_records(self) -> Iterator[VtRecord]:
         for n, t, pc, vt in zip(*self.rows()):
@@ -367,9 +372,9 @@ class _Chunk:
 
 def _classify_fast(lo: int, hi: int) -> _Chunk:
     """Vectorized kernel for chunks entirely below FAST_INDEX_LIMIT."""
-    ns = np.arange(lo, hi + 1, dtype=np.uint64)
-    base = np.uint64(lo * (lo - 1) // 2)  # t_(lo-1): the one closed-form product
-    ts = np.cumsum(ns, dtype=np.uint64) + base
+    ts = np.arange(lo, hi + 1, dtype=np.uint64)
+    np.cumsum(ts, out=ts)  # in place: one array per chunk, not three
+    ts += np.uint64(lo * (lo - 1) // 2)  # t_(lo-1): the one closed-form product
     pcs = np.bitwise_count(ts)
     return _Chunk(lo, hi, pcs, _VT_BY_POPCOUNT[pcs], ts)
 
@@ -433,18 +438,21 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> Iterator[tuple[int, int]]:
 def _ordered_map(fn: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
     """Apply fn over jobs, yielding results in job order.
 
-    With threads > 1, a bounded window of jobs runs concurrently; the
-    consumer still sees results strictly in submission order, which is
-    what keeps parallel scans byte deterministic.
+    Workers are capped at the CPU count, and at most workers + 2 jobs
+    run or wait ahead of the consumer, so the results in flight do not
+    grow with ``threads``.  The consumer still sees results strictly in
+    submission order, which is what keeps parallel scans byte
+    deterministic.
     """
     jobs = iter(jobs)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         for job in jobs:
             yield fn(*job)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        for job in itertools.islice(jobs, threads + 2):
+        for job in itertools.islice(jobs, workers + 2):
             pending.append(pool.submit(fn, *job))
         while pending:
             result = pending.popleft().result()
@@ -580,28 +588,23 @@ def _start_state(lo: int, hi: int, fmt: str | None) -> ScanCheckpoint:
 def _drive(
     state: ScanCheckpoint,
     tracker: _RunTracker,
-    fmt: str | None,
     *,
     threads: int,
     chunk_size: int,
-) -> Iterator[tuple[_Chunk, bytes, ScanCheckpoint]]:
+) -> Iterator[tuple[_Chunk, ScanCheckpoint]]:
     """Classify [state.next, state.hi] chunk by chunk, in ascending order.
 
-    Yields each chunk with its payload formatted as ``fmt`` (empty when
-    fmt is None) and the checkpoint valid after it.  ``tracker`` sees
+    Yields each classified chunk with the checkpoint valid after it; the
+    checkpoint keeps ``state.fmt``.  Workers only classify: formatting,
+    if any, is the consumer's, one piece at a time.  ``tracker`` sees
     every chunk and supplies the checkpoint's open run.
     """
-
-    def job(a: int, b: int) -> tuple[_Chunk, bytes]:
-        chunk = _classify(a, b)
-        return chunk, b"" if fmt is None else format_block(chunk.columns(), fmt)
-
     vt_total = state.vt_count
     bounds = _chunk_bounds(state.next, state.hi, chunk_size)
-    for chunk, payload in _ordered_map(job, bounds, threads):
+    for chunk in _ordered_map(_classify, bounds, threads):
         vt_total += chunk.vt_count
         tracker.feed(chunk)
-        yield chunk, payload, ScanCheckpoint(
+        yield chunk, ScanCheckpoint(
             format_version=CHECKPOINT_VERSION,
             lo=state.lo,
             hi=state.hi,
@@ -609,9 +612,9 @@ def _drive(
             vt_count=vt_total,
             open_run=tracker.open_run,
             current_t=chunk.hi * (chunk.hi + 1) // 2,
-            fmt=fmt,
+            fmt=state.fmt,
         )
-        del chunk, payload  # release them before the next chunk is formatted
+        del chunk  # release it before the next chunk is awaited
 
 
 def scan(
@@ -673,9 +676,8 @@ def resume_scan(
     started = time.monotonic()
     tracker = _RunTracker(checkpoint.lo, min_run_len, checkpoint.open_run)
     vt_total = checkpoint.vt_count
-    for chunk, _, state in _drive(
-        checkpoint, tracker, None, threads=threads, chunk_size=chunk_size
-    ):
+    start = replace(checkpoint, fmt=None)  # its checkpoints continue no byte stream
+    for chunk, state in _drive(start, tracker, threads=threads, chunk_size=chunk_size):
         if emit is not None:
             for record in chunk.iter_records():
                 emit(record)
@@ -935,15 +937,40 @@ def format_block(columns: tuple, fmt: str) -> bytes:
 
 @dataclass(frozen=True)
 class StreamBlock:
-    """One formatted chunk plus the checkpoint state valid after it.
+    """One classified chunk, formatted on demand, plus the checkpoint valid after it.
 
-    Write ``payload`` first, then persist ``checkpoint``: a crash
-    between the two re-emits at most nothing (the checkpoint still
-    points at the block just written), never skips records.
+    Write every piece of :meth:`pieces`, in order, then persist
+    ``checkpoint``: a crash between the two re-emits at most this
+    block's records (the saved checkpoint still points at its start),
+    never skips any.  Equality compares the checkpoint and header, not
+    the classified chunk.
     """
 
-    payload: bytes
-    checkpoint: ScanCheckpoint
+    checkpoint: ScanCheckpoint  # its fmt is the block's format
+    header: bytes  # the csv header on the first block of a fresh scan, else empty
+    chunk: _Chunk = field(compare=False, repr=False)
+
+    def pieces(self) -> Iterator[bytes]:
+        """The block's bytes, formatted _FORMAT_BLOCK rows at a time.
+
+        The first piece carries the header, if any.  Only the piece being
+        formatted is built, so a consumer that writes each piece before
+        taking the next holds one piece, not the whole chunk's bytes.
+        """
+        header = self.header
+        size = self.chunk.vts.size
+        for a in range(0, size, _FORMAT_BLOCK):
+            # format_block is looked up per call, so wrapping the module's name traces it
+            columns = self.chunk.columns(a, min(a + _FORMAT_BLOCK, size))
+            piece = format_block(columns, self.checkpoint.fmt)
+            if header:
+                piece, header = header + piece, b""
+            yield piece
+
+    @property
+    def payload(self) -> bytes:
+        """All of the block's bytes at once: the pieces joined."""
+        return b"".join(self.pieces())
 
 
 def stream_scan(
@@ -955,15 +982,17 @@ def stream_scan(
     chunk_size: int = DEFAULT_CHUNK,
     resume: ScanCheckpoint | None = None,
 ) -> Iterator[StreamBlock]:
-    """Yield formatted blocks covering [lo, hi] in ascending order.
+    """Yield blocks covering [lo, hi] in ascending order.
 
-    Blocks are classified and formatted by up to `threads` workers but
-    yielded strictly in range order, so the concatenated payloads are
-    identical for any worker count.  With ``resume``, emission continues
-    from resume.next and the csv header is suppressed (the interrupted
-    stream already wrote it); concatenating the two outputs reproduces
-    an uninterrupted run byte for byte.  A ``resume`` checkpoint for
-    another range or another format raises :class:`CheckpointStateError`.
+    Blocks are classified by up to `threads` workers (at most the CPU
+    count) but yielded strictly in range order; each is formatted only
+    when its :meth:`StreamBlock.pieces` or ``payload`` is read, so the
+    concatenated bytes are identical for any worker count.  With
+    ``resume``, emission continues from resume.next and the csv header
+    is suppressed (the interrupted stream already wrote it);
+    concatenating the two outputs reproduces an uninterrupted run byte
+    for byte.  A ``resume`` checkpoint for another range or another
+    format raises :class:`CheckpointStateError`.
     """
     _require_range(lo, hi)
     _require_threads(threads)
@@ -986,14 +1015,10 @@ def stream_scan(
         state = resume
         header = b""  # the interrupted stream already wrote it
     tracker = _RunTracker(lo, None, state.open_run)
-    for chunk, payload, checkpoint in _drive(
-        state, tracker, fmt, threads=threads, chunk_size=chunk_size
-    ):
-        if header:
-            payload = header + payload
-            header = b""
-        yield StreamBlock(payload=payload, checkpoint=checkpoint)
-        del chunk, payload  # release them before the next chunk is formatted
+    for chunk, checkpoint in _drive(state, tracker, threads=threads, chunk_size=chunk_size):
+        yield StreamBlock(checkpoint, header, chunk)
+        header = b""
+        del chunk  # release it before the next chunk is awaited
 
 
 def _require_range(lo: int, hi: int) -> None:

@@ -2,6 +2,8 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import pytest
 
@@ -13,7 +15,7 @@ from vtnum import (
     classify_index,
     stream_scan,
 )
-from vtnum.cli import dispatch, emit
+from vtnum.cli import dispatch, emit, main
 
 
 def run_cli(argv, capsysbinary):
@@ -143,6 +145,35 @@ class TestScan:
         monkeypatch.setenv("VT_THREADS", "soon")
         code, _, _ = run_cli(["check", "7"], capsysbinary)
         assert code == 0
+
+    def test_peak_memory_is_a_chunk_not_its_bytes(self, monkeypatch):
+        # 2^20 rows of 10-digit n: about 65 MB of jsonl, written a piece at a time
+        class CountingSink:
+            lines = 0
+
+            def write(self, data):
+                self.lines += data.count(b"\n")
+                return len(data)
+
+            def flush(self):
+                pass
+
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=sink, flush=sink.flush))
+        lo = 2**31 + 12345
+        argv = ["vt", "scan", "--from", str(lo), "--to", str(lo + 2**20 - 1)]
+        monkeypatch.setattr(sys, "argv", argv)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exited.value.code == 0
+        assert sink.lines == 2**20
+        # the chunk's columns (10 MB) and one piece being formatted
+        assert peak < 24 * 2**20
 
 
 class TestScanCheckpoint:

@@ -1,7 +1,10 @@
 """Range scanning: chunking, tiers, runs, checkpoints, byte streams."""
 import dataclasses
+import functools
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from vtnum.scanner import (
     _format_exact,
     _leading_true,
     _long_runs,
+    _ordered_map,
     _trailing_true,
 )
 
@@ -933,6 +937,106 @@ class TestWordFormatter:
         hi = lo + 2 * _FORMAT_BLOCK + 5
         got = b"".join(b.payload for b in stream_scan(lo, hi, fmt))
         assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+
+# one range start per tier: n gains a digit inside the one-word range,
+# t crosses 2^64 inside the two-word range, and the big-int tier
+_PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, WIDE_INDEX_LIMIT + 3]
+_PIECE_CHUNKS = [1, 5, _FORMAT_BLOCK - 1, _FORMAT_BLOCK, _FORMAT_BLOCK + 1, 1 << 20]
+
+
+def _piece_range(tier_lo, chunk):
+    """Two chunks and a short one, or one piece and a few rows past it."""
+    return tier_lo, tier_lo + min(2 * chunk, _FORMAT_BLOCK + 3) + 2
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_range_bytes(lo, hi, fmt):
+    """The range formatted in one format_block call, from one classification."""
+    header = _CSV_HEADER if fmt == "csv" else b""
+    return header + bytes(format_block(_classify(lo, hi).rows(), fmt))
+
+
+def _check_pieces(block):
+    """The block's pieces join to format_block over its whole chunk, each <= _FORMAT_BLOCK rows."""
+    pieces = list(block.pieces())
+    size = block.chunk.vts.size
+    assert len(pieces) == -(-size // _FORMAT_BLOCK)
+    assert pieces[0].startswith(block.header)
+    assert max(p.count(b"\n") for p in pieces) <= _FORMAT_BLOCK + bool(block.header)
+    whole = block.header + format_block(block.chunk.columns(0, size), block.checkpoint.fmt)
+    assert b"".join(pieces) == whole
+    return whole
+
+
+class TestStreamPieces:
+    """Blocks are formatted lazily, _FORMAT_BLOCK rows per piece."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("chunk", _PIECE_CHUNKS)
+    @pytest.mark.parametrize("tier_lo", _PIECE_TIERS)
+    def test_pieces_join_to_the_whole_chunk(self, tier_lo, chunk, fmt, threads):
+        lo, hi = _piece_range(tier_lo, chunk)
+        blocks = stream_scan(lo, hi, fmt, chunk_size=chunk, threads=threads)
+        got = b"".join(_check_pieces(block) for block in blocks)
+        assert got == _whole_range_bytes(lo, hi, fmt)
+
+    @pytest.mark.parametrize("chunk", _PIECE_CHUNKS)
+    @pytest.mark.parametrize("tier_lo", _PIECE_TIERS)
+    def test_csv_resume_suppresses_the_header(self, tier_lo, chunk):
+        lo, hi = _piece_range(tier_lo, chunk)
+        # the first block is cut short, so the resumed stream is never empty
+        first = next(stream_scan(lo, hi, "csv", chunk_size=min(chunk, _FORMAT_BLOCK // 2)))
+        assert first.header == _CSV_HEADER
+        rest = list(stream_scan(lo, hi, "csv", chunk_size=chunk, resume=first.checkpoint))
+        assert rest and all(block.header == b"" for block in rest)
+        got = _check_pieces(first) + b"".join(_check_pieces(block) for block in rest)
+        assert got == _whole_range_bytes(lo, hi, "csv")
+
+    def test_whole_chunk_piece_sizes(self):
+        lo = 2**31
+        block = next(stream_scan(lo, lo + (1 << 20) - 1, "csv"))
+        rows = [p.count(b"\n") for p in block.pieces()]
+        assert rows == [_FORMAT_BLOCK + 1] + [_FORMAT_BLOCK] * 31
+
+    def test_equality_ignores_the_chunk(self):
+        a = next(stream_scan(1, 100, chunk_size=10))
+        b = dataclasses.replace(a, chunk=_classify(1, 1))
+        assert a == b
+        assert a != dataclasses.replace(a, header=_CSV_HEADER)
+
+
+class TestOrderedMap:
+    """The pool's workers and its window of results in flight."""
+
+    @pytest.mark.parametrize(
+        "cpus,threads,workers",
+        [(2, 64, 2), (2, 2, 2), (4, 3, 3), (1, 64, 1), (None, 16, 1)],
+    )
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        lock = threading.Lock()
+        started = consumed = most = 0
+        idents = set()
+
+        def job(i):
+            nonlocal started, most
+            with lock:
+                started += 1
+                most = max(most, started - consumed)
+                idents.add(threading.get_ident())
+            return i
+
+        got = []
+        for i in _ordered_map(job, ((i,) for i in range(300)), threads):
+            with lock:
+                consumed += 1
+            got.append(i)
+        assert got == list(range(300))
+        assert len(idents) <= workers
+        # workers + 2 jobs in the window, and the one the consumer is taking
+        assert most <= (workers + 3 if workers > 1 else 1)
 
 
 class TestSummaryEquality:
