@@ -44,7 +44,6 @@ from .scanner import (
     CHECKPOINT_VERSION,
     DEFAULT_CHUNK,
     FAST_INDEX_LIMIT,
-    WIDE_INDEX_LIMIT,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointStateError,
@@ -119,7 +118,6 @@ __all__ = [
     # scanner
     "DEFAULT_CHUNK",
     "FAST_INDEX_LIMIT",
-    "WIDE_INDEX_LIMIT",
     "CHECKPOINT_VERSION",
     "VtRecord",
     "Run",

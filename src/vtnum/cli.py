@@ -507,6 +507,11 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # values are exact at any size: lift the 4300-digit int <-> str limit
+    # (t_n reaches it near n = 10^2150) where this Python has one
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     try:
         code = dispatch(sys.argv[1:])
         sys.stdout.flush()

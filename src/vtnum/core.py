@@ -4,9 +4,9 @@ predicates built from them.
 A triangular number is t_n = n(n+1)/2 with n >= 1, and a value is *very
 triangular* when it is triangular and its binary representation contains
 a triangular number of 1 bits.  Everything here operates on plain Python
-integers, so results are exact at any size; the vectorized 64-bit fast
-paths used for bulk scanning live in :mod:`vtnum.scanner` and are
-cross-checked against these functions in the test suite.
+integers, so results are exact at any size; the vectorized one-word
+and limb kernels used for bulk scanning live in :mod:`vtnum.scanner`
+and are cross-checked against these functions in the test suite.
 """
 from __future__ import annotations
 

@@ -1,19 +1,18 @@
 """Streaming classification of triangular numbers over index ranges.
 
 The scanner walks indexes in ascending order and classifies each t_n
-by the popcount test.  Ranges are cut into fixed chunks, split at the
-tier limits, so a chunk's index range alone picks one of three tiers:
+by the popcount test.  Ranges are cut into fixed chunks, split at
+FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers:
 
     n <= FAST_INDEX_LIMIT   t_n fits one uint64 word: one closed-form
                             product at the chunk start, then a cumsum
-    n <= WIDE_INDEX_LIMIT   t_n fits two uint64 words: a per-element
-                            128-bit product from 32-bit limbs
-    larger n                an exact big-integer loop, t_(n+1) = t_n + (n+1)
+    larger n                t_n as 32-bit limbs in uint64 columns, with
+                            the carries propagated limb by limb
 
-The first two are vectorized numpy kernels, and all three produce
-identical records.  Chunks may be classified by concurrent workers, but
-results are always consumed in ascending range order, so output is
-byte deterministic regardless of worker count.
+Both are vectorized numpy kernels, exact at any index size.  Chunks may
+be classified by concurrent workers, but results are always consumed in
+ascending range order, so output is byte deterministic regardless of
+worker count.
 
 Output formats (byte exact, ASCII):
 
@@ -32,6 +31,7 @@ larger values, and the reference the kernel is tested against.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -49,7 +49,6 @@ from .core import ParameterError, is_triangular, popcount_of_triangular, triangu
 __all__ = [
     "DEFAULT_CHUNK",
     "FAST_INDEX_LIMIT",
-    "WIDE_INDEX_LIMIT",
     "CHECKPOINT_VERSION",
     "VtRecord",
     "Run",
@@ -77,18 +76,14 @@ __all__ = [
 
 DEFAULT_CHUNK = 1 << 20
 
-# The three classification tiers.  Up to FAST_INDEX_LIMIT, t_n fits one
-# unsigned 64-bit word (n(n+1) < 2^64 exactly when n <= 2^32 - 1); up to
-# WIDE_INDEX_LIMIT, n and n + 1 (the even one halved) both fit one word,
-# so t_n is their product in two words; past it, big-integer arithmetic.
+# The two classification tiers.  Up to FAST_INDEX_LIMIT, t_n fits one
+# unsigned 64-bit word (n(n+1) < 2^64 exactly when n <= 2^32 - 1); past
+# it, t_n is held as 32-bit limbs, as many as its size needs.
 FAST_INDEX_LIMIT = (1 << 32) - 1
-WIDE_INDEX_LIMIT = (1 << 64) - 1
 
-# Very triangular verdict by popcount, for every popcount of a 128-bit value.
-_VT_BY_POPCOUNT = np.array([is_triangular(pc) is not None for pc in range(129)])
-
-# Rows per pass of the two-word kernel: its temporaries stay cache sized.
-_WIDE_BLOCK = 1 << 15
+# Rows per pass of the limb kernel: its columns stay cache sized, and
+# i * a_j + c_j + carry stays below 2^48 for i below it.
+_LIMB_BLOCK = 1 << 15
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 _FORMATS = ("jsonl", "csv")
@@ -275,6 +270,10 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
         raise CheckpointCorruptError(
             "checkpoint field 'current_t' must be a decimal string"
         )
+    try:
+        current_t = int(raw_t)
+    except ValueError as exc:  # past the interpreter's int <-> str digit limit
+        raise CheckpointCorruptError(f"checkpoint field 'current_t' is unreadable: {exc}") from exc
 
     if not 1 <= lo <= hi:
         raise CheckpointStateError(f"checkpoint range [{lo}, {hi}] is invalid")
@@ -298,7 +297,6 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
                 f"checkpoint open_run length {length} exceeds vt_count {vt_count}"
             )
         open_run = (start, length)
-    current_t = int(raw_t)
     expected_t = (nxt - 1) * nxt // 2
     if current_t != expected_t:
         raise CheckpointStateError(
@@ -358,7 +356,7 @@ class _Chunk:
         """The (n, t, pc, vt) columns of rows [a, b) for :func:`format_block`.
 
         One-word chunks hand over slices of their arrays, which the numpy
-        formatter takes as they are; other tiers build :meth:`rows`.
+        formatter takes as they are; limb chunks build :meth:`rows`.
         """
         if self.ts is None:
             return self.rows(a, b)
@@ -370,67 +368,63 @@ class _Chunk:
             yield VtRecord(n, t, pc, vt)
 
 
+@functools.lru_cache(maxsize=128)
+def _vt_by_popcount(bits: int) -> np.ndarray:
+    """Very triangular verdict by popcount, for every popcount of a `bits`-bit value."""
+    return np.array([is_triangular(pc) is not None for pc in range(bits + 1)])
+
+
 def _classify_fast(lo: int, hi: int) -> _Chunk:
     """Vectorized kernel for chunks entirely below FAST_INDEX_LIMIT."""
     ts = np.arange(lo, hi + 1, dtype=np.uint64)
     np.cumsum(ts, out=ts)  # in place: one array per chunk, not three
     ts += np.uint64(lo * (lo - 1) // 2)  # t_(lo-1): the one closed-form product
     pcs = np.bitwise_count(ts)
-    return _Chunk(lo, hi, pcs, _VT_BY_POPCOUNT[pcs], ts)
+    return _Chunk(lo, hi, pcs, _vt_by_popcount(64)[pcs], ts)
 
 
-def _classify_wide(lo: int, hi: int) -> _Chunk:
-    """Vectorized two-word kernel for chunks with hi <= WIDE_INDEX_LIMIT.
+def _limbs(x: int, count: int) -> np.ndarray:
+    """The low `count` 32-bit limbs of x, least significant first, as uint64."""
+    return np.frombuffer(x.to_bytes(4 * count, "little"), dtype="<u4").astype(np.uint64)
 
-    t_n = x * y with x, y = n, (n + 1) / 2 for odd n and n / 2, n + 1
-    for even n; both are below 2^64 even at n = 2^64 - 1.  The low word
-    of the product is the wrapping uint64 product, and the high word
-    comes from the four 32-bit limb products with explicit carries.
+
+def _classify_limbs(lo: int, hi: int) -> _Chunk:
+    """Vectorized limb kernel for chunks past FAST_INDEX_LIMIT, exact at any size.
+
+    In a sub-block starting at index a, t_(a+i) = t_a + i*a + t_i.  With
+    a and t_a cut into 32-bit limbs a_j and c_j, column j of that sum is
+    i*a_j + c_j plus the carry out of column j - 1, t_i being the first
+    carry.  A column stays below 2^48: its low 32 bits are limb j of
+    t_(a+i), and the rest carries on.
     """
-    m = hi - lo + 1
-    pcs = np.empty(m, dtype=np.uint8)
-    for a in range(0, m, _WIDE_BLOCK):
-        b = min(a + _WIDE_BLOCK, m)
-        n = np.uint64(lo + a) + np.arange(b - a, dtype=np.uint64)
-        odd = n & 1
-        x = n >> (odd ^ 1)
-        y = (n >> odd) + 1
-        x0, x1 = x & _LOW32, x >> 32
-        y0, y1 = y & _LOW32, y >> 32
-        p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-        mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)  # < 3 * 2^32
-        high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        np.add(np.bitwise_count(high), np.bitwise_count(x * y), out=pcs[a:b])
-    return _Chunk(lo, hi, pcs, _VT_BY_POPCOUNT[pcs])
-
-
-def _classify_big(lo: int, hi: int) -> _Chunk:
-    """Exact big-integer loop for chunks beyond the two-word tier."""
-    t = lo * (lo - 1) // 2
-    pcs: list[int] = []
-    for n in range(lo, hi + 1):
-        t += n
-        pcs.append(t.bit_count())
-    vts = [is_triangular(pc) is not None for pc in pcs]
-    return _Chunk(lo, hi, np.array(pcs, dtype=np.int64), np.array(vts, dtype=bool))
+    bits = triangular(hi).bit_length()
+    pcs = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(bits))
+    rows = np.arange(min(pcs.size, _LIMB_BLOCK), dtype=np.uint64)
+    t_rows = rows * (rows + 1) >> 1
+    for s in range(0, pcs.size, _LIMB_BLOCK):
+        a, out = lo + s, pcs[s : s + _LIMB_BLOCK]
+        i, carry = rows[: out.size], t_rows[: out.size]
+        count = triangular(a + out.size - 1).bit_length() // 32 + 1
+        for a_j, c_j in zip(_limbs(a, count), _limbs(triangular(a), count)):
+            column = i * a_j + c_j + carry
+            out += np.bitwise_count(column & _LOW32)
+            carry = column >> 32
+    return _Chunk(lo, hi, pcs, _vt_by_popcount(bits)[pcs])
 
 
 def _classify(lo: int, hi: int) -> _Chunk:
     if hi <= FAST_INDEX_LIMIT:
         return _classify_fast(lo, hi)
-    if hi <= WIDE_INDEX_LIMIT:
-        return _classify_wide(lo, hi)
-    return _classify_big(lo, hi)
+    return _classify_limbs(lo, hi)
 
 
 def _chunk_bounds(lo: int, hi: int, size: int) -> Iterator[tuple[int, int]]:
-    """Cut [lo, hi] into chunks of at most `size`, split at the tier limits."""
+    """Cut [lo, hi] into chunks of at most `size`, split at FAST_INDEX_LIMIT."""
     a = lo
     while a <= hi:
         b = min(a + size - 1, hi)
-        for limit in (FAST_INDEX_LIMIT, WIDE_INDEX_LIMIT):
-            if a <= limit < b:
-                b = limit
+        if a <= FAST_INDEX_LIMIT < b:
+            b = FAST_INDEX_LIMIT
         yield a, b
         a = b + 1
 

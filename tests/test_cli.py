@@ -13,6 +13,7 @@ from vtnum import (
     VtRecord,
     checkpoint_save,
     classify_index,
+    format_block,
     stream_scan,
 )
 from vtnum.cli import dispatch, emit, main
@@ -553,8 +554,54 @@ class TestTopLevel:
         assert run_cli(["scan", "--help"], capsysbinary)[0] == 0
 
 
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift the int <-> str digit limit for one test, as `vt` does."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Python before 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 class TestSubprocessSurface:
     """End-to-end checks that need a real process boundary."""
+
+    @pytest.mark.parametrize("verb", ["check", "scan"])
+    def test_values_past_the_int_digit_limit(self, verb, no_int_digit_limit):
+        # t_n has about 4400 digits, past the interpreter's default of 4300
+        n = 10**2200
+        argv = ["check", str(n)] if verb == "check" else ["scan", "--from", str(n), "--to", str(n)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtnum", *argv], capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0
+        rec = classify_index(n)
+        rows = ([rec.n], [rec.t], [rec.popcount], [rec.is_vt])
+        assert proc.stdout == format_block(rows, "jsonl")
+
+    def test_checkpoint_past_the_int_digit_limit(self, tmp_path):
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 400, "next": 8, '
+            f'"vt_count": 3, "open_run": null, "current_t": "{"1" * 5000}"}}'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", "400",
+             "--checkpoint", str(path)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.count("\n") == 1 and err.startswith("vt: ")
+        assert path.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

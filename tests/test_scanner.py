@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from vtnum import (
     CHECKPOINT_VERSION,
     FAST_INDEX_LIMIT,
-    WIDE_INDEX_LIMIT,
     CheckpointCorruptError,
     CheckpointStateError,
     CheckpointVersionError,
@@ -27,21 +27,23 @@ from vtnum import (
     count_vt,
     find_runs,
     find_twins,
+    family_power_minus,
     format_block,
+    gap_window,
     merge_summaries,
     resume_scan,
     scan,
     sigma_enumerate,
     stream_scan,
+    twin_pair,
     vt_flags,
 )
 from vtnum.scanner import (
     _CSV_HEADER,
     _FORMAT_BLOCK,
-    _WIDE_BLOCK,
+    _LIMB_BLOCK,
     _chunk_bounds,
     _classify,
-    _classify_wide,
     _format_exact,
     _leading_true,
     _long_runs,
@@ -145,7 +147,7 @@ class TestTierBoundary:
         assert scan(lo, hi, chunk_size=3) == scan(lo, hi)
 
     def test_power_index_at_tier_edge(self):
-        # t_(2^32) = 2^63 + 2^31: the first index classified by the big tier
+        # t_(2^32) = 2^63 + 2^31: the first index classified by the limb tier
         rec = classify_index(FAST_INDEX_LIMIT + 1)
         assert rec.t == 2**63 + 2**31
         assert rec.popcount == 2
@@ -168,20 +170,20 @@ def _ref_rows(ref, lo, hi):
 
 
 class TestWideTier:
-    """The two-word tier, FAST_INDEX_LIMIT < n <= WIDE_INDEX_LIMIT."""
+    """The limb tier up to n = 2^64 - 1, where t_n takes at most four limbs."""
 
     @settings(deadline=None, max_examples=80)
     @given(
         lo=st.one_of(
             st.integers(min_value=FAST_INDEX_LIMIT - 300, max_value=FAST_INDEX_LIMIT + 1),
-            st.integers(min_value=FAST_INDEX_LIMIT + 1, max_value=WIDE_INDEX_LIMIT),
-            st.integers(min_value=WIDE_INDEX_LIMIT - 300, max_value=WIDE_INDEX_LIMIT),
+            st.integers(min_value=FAST_INDEX_LIMIT + 1, max_value=2**64 - 1),
+            st.integers(min_value=2**64 - 1 - 300, max_value=2**64 - 1),
         ),
         width=st.integers(min_value=0, max_value=300),
     )
     def test_kernel_matches_reference(self, ref, lo, width):
-        hi = min(lo + width, WIDE_INDEX_LIMIT)
-        chunk = _classify_wide(lo, hi)
+        hi = min(lo + width, 2**64 - 1)
+        chunk = _classify(lo, hi)
         ns, ts, pcs, vts = _ref_rows(ref, lo, hi)
         assert chunk.pcs.tolist() == pcs
         assert chunk.vts.tolist() == vts
@@ -189,8 +191,8 @@ class TestWideTier:
 
     def test_kernel_across_sub_blocks(self, ref):
         lo = 2**62 + 12345
-        hi = lo + 2 * _WIDE_BLOCK + 4
-        chunk = _classify_wide(lo, hi)
+        hi = lo + 2 * _LIMB_BLOCK + 4
+        chunk = _classify(lo, hi)
         assert chunk.pcs.tolist() == _ref_rows(ref, lo, hi)[2]
 
     @pytest.mark.parametrize(
@@ -199,31 +201,34 @@ class TestWideTier:
             (18446744073705357314, 66),
             (18446744073705357773, 78),
             (18446744073706585829, 91),
+            (2**276 - 2, 276),
+            (2**300 - 1, 300),
         ],
     )
     def test_popcounts_past_64_classify(self, ref, n, pc):
-        # t_n has up to 127 bits, so triangular popcounts above 64 occur
+        # t_n has up to 127 bits below 2^64, so triangular popcounts above
+        # 64 occur; past 255, at the twin pairs 2^k - 2 and 2^k - 1, they
+        # need more than a byte
         assert ref.popcount(ref.triangular(n)) == pc and ref.is_vt_index(n)
         chunk = _classify(n, n)
         assert chunk.pcs.tolist() == [pc]
         assert chunk.vts.tolist() == [True]
 
     def test_last_wide_index(self, ref):
-        n = WIDE_INDEX_LIMIT
+        n = 2**64 - 1
         chunk = _classify(n, n)
         # t_(2^64 - 1) = 2^127 - 2^63: 64 ones, and 64 is not triangular
         assert chunk.rows() == ([n], [2**127 - 2**63], [64], [False])
         assert chunk.rows() == _ref_rows(ref, n, n)
 
-    def test_chunk_bounds_split_at_both_limits(self):
-        lo, hi = FAST_INDEX_LIMIT - 1, WIDE_INDEX_LIMIT + 2
+    def test_chunk_bounds_split_at_fast_limit(self):
+        lo, hi = FAST_INDEX_LIMIT - 1, 2**64 + 1
         assert list(_chunk_bounds(lo, hi, 2**70)) == [
             (lo, FAST_INDEX_LIMIT),
-            (FAST_INDEX_LIMIT + 1, WIDE_INDEX_LIMIT),
-            (WIDE_INDEX_LIMIT + 1, hi),
+            (FAST_INDEX_LIMIT + 1, hi),
         ]
 
-    @pytest.mark.parametrize("limit", [FAST_INDEX_LIMIT, WIDE_INDEX_LIMIT])
+    @pytest.mark.parametrize("limit", [FAST_INDEX_LIMIT, 2**64 - 1])
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
     def test_records_across_tier_limits(self, ref, limit, chunk):
         lo, hi = limit - 40, limit + 40
@@ -232,9 +237,12 @@ class TestWideTier:
         rows = _ref_rows(ref, lo, hi)
         assert records == [VtRecord(*row) for row in zip(*rows)]
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(
-        lo=st.integers(min_value=WIDE_INDEX_LIMIT - 250, max_value=WIDE_INDEX_LIMIT),
+        lo=st.one_of(
+            st.integers(min_value=2**64 - 1 - 250, max_value=2**64 - 1),
+            st.sampled_from([2**96 - 60, 2**120 - 2**60, 3**100]),
+        ),
         width=st.integers(min_value=0, max_value=250),
         chunk=st.integers(min_value=1, max_value=64),
         threads=st.sampled_from([1, 2]),
@@ -255,13 +263,16 @@ class TestWideTier:
         ]
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_checkpoint_mid_tier_resumes(self, tmp_path, fmt):
-        # the twin pair (2^36 - 2, 2^36 - 1) is open at the block ending 2^36 - 2
-        lo, hi = 2**36 - 41, 2**36 + 40
+    @pytest.mark.parametrize("k", [36, 66])
+    def test_checkpoint_mid_tier_resumes(self, tmp_path, ref, k, fmt):
+        # the twin pair (2^k - 2, 2^k - 1) is open at the block ending 2^k - 2
+        lo, hi = 2**k - 41, 2**k + 40
         path = tmp_path / "cp.json"
         blocks = list(stream_scan(lo, hi, fmt, chunk_size=8))
         whole = b"".join(b.payload for b in blocks)
-        assert (2**36 - 2, 1) in [b.checkpoint.open_run for b in blocks]
+        header = _CSV_HEADER if fmt == "csv" else b""
+        assert whole == header + format_block(_ref_rows(ref, lo, hi), fmt)
+        assert (2**k - 2, 1) in [b.checkpoint.open_run for b in blocks]
         for i, block in enumerate(blocks):
             checkpoint_save(block.checkpoint, path)
             state = checkpoint_resume(path)
@@ -269,8 +280,73 @@ class TestWideTier:
             tail = b"".join(b.payload for b in stream_scan(lo, hi, fmt, chunk_size=5, resume=state))
             assert head + tail == whole
             resumed = resume_scan(dataclasses.replace(state, fmt=None), min_run_len=2)
-            twin = Run(2**36 - 2, 2, (36, 36))
-            assert (twin in resumed.runs_found) == (state.next <= 2**36)
+            twin = Run(2**k - 2, 2, (k, k))
+            assert (twin in resumed.runs_found) == (state.next <= 2**k)
+
+
+def _first_index_reaching(value):
+    """The smallest n with t_n >= value."""
+    n = math.isqrt(2 * value)
+    while n * (n + 1) // 2 >= value:
+        n -= 1
+    while n * (n + 1) // 2 < value:
+        n += 1
+    return n
+
+
+# triangular k > 1 up to the paper's largest family parameter
+_TRIANGULAR_KS = [k * (k + 1) // 2 for k in range(2, 17)]
+
+
+class TestLimbTier:
+    """The limb kernel past FAST_INDEX_LIMIT, against the brute-force oracle."""
+
+    @pytest.mark.parametrize("before", [150, _LIMB_BLOCK])
+    @pytest.mark.parametrize("limbs", range(2, 9))
+    def test_windows_where_t_gains_a_limb(self, ref, limbs, before):
+        # t_n reaches 2^(32 * limbs) inside the first sub-block, or at the
+        # start of the second
+        edge = _first_index_reaching(2 ** (32 * limbs))
+        lo = max(edge - before, FAST_INDEX_LIMIT + 1)
+        hi = edge + 150
+        chunk = _classify(lo, hi)
+        _, _, pcs, vts = _ref_rows(ref, lo, hi)
+        assert chunk.pcs.tolist() == pcs
+        assert chunk.vts.tolist() == vts
+
+    @pytest.mark.parametrize("before", [0, 1, _LIMB_BLOCK])
+    @pytest.mark.parametrize("n", [2**32, 2**64, 2**96])
+    def test_sub_block_start_gains_a_limb(self, ref, n, before):
+        # the index itself takes one more limb than the one before it
+        lo = n - before
+        chunk = _classify(lo, n + 200)
+        assert chunk.rows() == _ref_rows(ref, lo, n + 200)
+
+    def test_chunk_size_off_the_sub_block_grid(self, ref):
+        lo, chunk = 2**64 - 1000, _LIMB_BLOCK + _LIMB_BLOCK // 2 + 7
+        hi = lo + 2 * chunk + 100
+        rows = _ref_rows(ref, lo, hi)
+        blocks = list(stream_scan(lo, hi, "jsonl", chunk_size=chunk))
+        assert [b.chunk.vts.size for b in blocks] == [chunk, chunk, 101]
+        assert b"".join(b.payload for b in blocks) == format_block(rows, "jsonl")
+        summary = scan(lo, hi, min_run_len=2, chunk_size=chunk)
+        assert summary.runs_found == _expected_runs(ref, lo, hi, 2)
+        assert summary.vt_count == sum(rows[3])
+
+    @pytest.mark.parametrize("k", _TRIANGULAR_KS)
+    def test_family_predictions(self, k):
+        # the families predict each popcount by construction; the scanner sums limbs
+        witnesses = [twin_pair(k)] + [family_power_minus(k, ell) for ell in range(k // 2 + 1)]
+        if k % 4 == 0:
+            report = gap_window(k)
+            lo, hi = report.window[0] + 1, report.window[1]
+            chunk = _classify(lo, hi)
+            assert chunk.pcs.tolist() == list(report.member_popcounts)
+            assert not chunk.vts.any()
+        for w in witnesses:
+            chunk = _classify(w.indices[0], w.indices[-1])
+            assert chunk.pcs.tolist() == [w.predicted_popcount] * len(w.indices)
+            assert chunk.vts.all()
 
 
 class TestRuns:
@@ -651,6 +727,22 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointCorruptError):
             checkpoint_resume(path)
 
+    def test_current_t_past_the_int_digit_limit(self, tmp_path):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int <-> str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 100, "next": 8, '
+            f'"vt_count": 3, "open_run": null, "current_t": "{"1" * 5000}"}}'
+        )
+        try:
+            with pytest.raises(CheckpointCorruptError, match="current_t"):
+                checkpoint_resume(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_frontier_outside_range(self, tmp_path):
         path = tmp_path / "cp.json"
         checkpoint_save(self._state(next=102, open_run=None, current_t=101 * 102 // 2), path)
@@ -833,21 +925,11 @@ class TestByteStreams:
         assert combined.count(b"n,t,pc,vt\n") == 1
 
 
-def _first_index_past_word():
-    """The smallest n with t_n >= 2^64."""
-    n = math.isqrt(2**65)
-    while n * (n + 1) // 2 >= 2**64:
-        n -= 1
-    while n * (n + 1) // 2 < 2**64:
-        n += 1
-    return n
-
-
 # where n or t gains a decimal digit, the tier limits, and where t reaches 2^64
 _DIGIT_EDGES = sorted(
     {10**k for k in range(1, 11)}
     | {math.isqrt(2 * 10**k) for k in range(1, 20)}
-    | {FAST_INDEX_LIMIT + 1, _first_index_past_word(), WIDE_INDEX_LIMIT + 1}
+    | {FAST_INDEX_LIMIT + 1, _first_index_reaching(2**64), 2**64}
 )
 _window_lo = st.sampled_from(_DIGIT_EDGES).flatmap(
     lambda edge: st.integers(min_value=max(1, edge - 70), max_value=edge)
@@ -939,9 +1021,9 @@ class TestWordFormatter:
         assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
 
 
-# one range start per tier: n gains a digit inside the one-word range,
-# t crosses 2^64 inside the two-word range, and the big-int tier
-_PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, WIDE_INDEX_LIMIT + 3]
+# n gains a digit inside the one-word tier; t crosses 2^64, and n
+# reaches 2^64 + 2, inside the limb tier
+_PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, 2**64 + 2]
 _PIECE_CHUNKS = [1, 5, _FORMAT_BLOCK - 1, _FORMAT_BLOCK, _FORMAT_BLOCK + 1, 1 << 20]
 
 
