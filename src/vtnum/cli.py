@@ -19,7 +19,9 @@ Every operation in the package is reachable through one verb:
 Results go to stdout, diagnostics to stderr.  Exit status is 0 on
 success, 1 when a sweep finds counterexamples or a verified claim fails
 its check, 2 on usage errors.  Identical argument vectors produce
-identical stdout bytes, whatever the worker count.
+identical stdout bytes.  Classification runs on the calling thread:
+``--threads`` and ``VT_THREADS`` are validated (a bad value is a usage
+error) but change nothing.
 
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
@@ -35,7 +37,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from .analysis import (
@@ -377,7 +379,8 @@ def _add_emit(sub: argparse.ArgumentParser) -> None:
 def _add_threads(sub: argparse.ArgumentParser) -> None:
     # resolved lazily so a malformed VT_THREADS only affects verbs that scan
     sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="worker count (default: VT_THREADS or 1)")
+                     help="accepted and validated (>= 1; default: VT_THREADS or 1), "
+                          "but classification always runs on one thread")
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
@@ -386,8 +389,15 @@ def _resolve_threads(args: argparse.Namespace) -> int:
     return _default_threads()
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one stderr line, like every other bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vt",
         description="Enumerate, verify, and search very triangular numbers.",
     )

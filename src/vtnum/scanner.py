@@ -9,10 +9,10 @@ FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers:
     larger n                t_n as 32-bit limbs in uint64 columns, with
                             the carries propagated limb by limb
 
-Both are vectorized numpy kernels, exact at any index size.  Chunks may
-be classified by concurrent workers, but results are always consumed in
-ascending range order, so output is byte deterministic regardless of
-worker count.
+Both are vectorized numpy kernels, exact at any index size.  Chunks are
+classified on the calling thread, one at a time and in ascending range
+order, so output is byte deterministic.  The ``threads`` keyword of the
+scanning functions is validated but changes nothing.
 
 Output formats (byte exact, ASCII):
 
@@ -37,10 +37,8 @@ import json
 import os
 import re
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -299,9 +297,10 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
         open_run = (start, length)
     expected_t = (nxt - 1) * nxt // 2
     if current_t != expected_t:
+        # bit lengths, not values: t_(next-1) may be thousands of digits long
         raise CheckpointStateError(
-            f"checkpoint current_t = {current_t} but recomputing t_{nxt - 1} "
-            f"gives {expected_t}"
+            f"checkpoint current_t ({current_t.bit_length()} bits) is not "
+            f"t_(next-1) recomputed from next ({expected_t.bit_length()} bits)"
         )
     return ScanCheckpoint(
         format_version=version,
@@ -429,34 +428,6 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> Iterator[tuple[int, int]]:
         a = b + 1
 
 
-def _ordered_map(fn: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
-    """Apply fn over jobs, yielding results in job order.
-
-    Workers are capped at the CPU count, and at most workers + 2 jobs
-    run or wait ahead of the consumer, so the results in flight do not
-    grow with ``threads``.  The consumer still sees results strictly in
-    submission order, which is what keeps parallel scans byte
-    deterministic.
-    """
-    jobs = iter(jobs)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1:
-        for job in jobs:
-            yield fn(*job)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for job in itertools.islice(jobs, workers + 2):
-            pending.append(pool.submit(fn, *job))
-        while pending:
-            result = pending.popleft().result()
-            nxt = next(jobs, None)
-            if nxt is not None:
-                pending.append(pool.submit(fn, *nxt))
-            yield result
-            del result  # release it before the next result is awaited
-
-
 # ---------------------------------------------------------------------------
 # Run tracking
 
@@ -580,22 +551,19 @@ def _start_state(lo: int, hi: int, fmt: str | None) -> ScanCheckpoint:
 
 
 def _drive(
-    state: ScanCheckpoint,
-    tracker: _RunTracker,
-    *,
-    threads: int,
-    chunk_size: int,
+    state: ScanCheckpoint, tracker: _RunTracker, *, chunk_size: int
 ) -> Iterator[tuple[_Chunk, ScanCheckpoint]]:
     """Classify [state.next, state.hi] chunk by chunk, in ascending order.
 
-    Yields each classified chunk with the checkpoint valid after it; the
-    checkpoint keeps ``state.fmt``.  Workers only classify: formatting,
-    if any, is the consumer's, one piece at a time.  ``tracker`` sees
-    every chunk and supplies the checkpoint's open run.
+    Each chunk is classified on the calling thread when the consumer
+    asks for it, and yielded with the checkpoint valid after it; the
+    checkpoint keeps ``state.fmt``.  Formatting, if any, is the
+    consumer's, one piece at a time.  ``tracker`` sees every chunk and
+    supplies the checkpoint's open run.
     """
     vt_total = state.vt_count
     bounds = _chunk_bounds(state.next, state.hi, chunk_size)
-    for chunk in _ordered_map(_classify, bounds, threads):
+    for chunk in itertools.starmap(_classify, bounds):
         vt_total += chunk.vt_count
         tracker.feed(chunk)
         yield chunk, ScanCheckpoint(
@@ -608,7 +576,7 @@ def _drive(
             current_t=chunk.hi * (chunk.hi + 1) // 2,
             fmt=state.fmt,
         )
-        del chunk  # release it before the next chunk is awaited
+        del chunk  # release it before the next chunk is classified
 
 
 def scan(
@@ -631,7 +599,8 @@ def scan(
     None, or the shortest run you need, for the fast path.  When ``checkpoint_path``
     is given, a resumable checkpoint is written atomically after each
     chunk; hand it to :func:`resume_scan` to continue an interrupted
-    scan.
+    scan.  ``threads`` is validated but changes nothing: every chunk is
+    classified on the calling thread.
     """
     _require_range(lo, hi)
     return resume_scan(
@@ -671,7 +640,7 @@ def resume_scan(
     tracker = _RunTracker(checkpoint.lo, min_run_len, checkpoint.open_run)
     vt_total = checkpoint.vt_count
     start = replace(checkpoint, fmt=None)  # its checkpoints continue no byte stream
-    for chunk, state in _drive(start, tracker, threads=threads, chunk_size=chunk_size):
+    for chunk, state in _drive(start, tracker, chunk_size=chunk_size):
         if emit is not None:
             for record in chunk.iter_records():
                 emit(record)
@@ -933,6 +902,8 @@ def format_block(columns: tuple, fmt: str) -> bytes:
 class StreamBlock:
     """One classified chunk, formatted on demand, plus the checkpoint valid after it.
 
+    The chunk was classified on the calling thread before the block was
+    yielded; its bytes are made only when :meth:`pieces` is read.
     Write every piece of :meth:`pieces`, in order, then persist
     ``checkpoint``: a crash between the two re-emits at most this
     block's records (the saved checkpoint still points at its start),
@@ -978,10 +949,10 @@ def stream_scan(
 ) -> Iterator[StreamBlock]:
     """Yield blocks covering [lo, hi] in ascending order.
 
-    Blocks are classified by up to `threads` workers (at most the CPU
-    count) but yielded strictly in range order; each is formatted only
-    when its :meth:`StreamBlock.pieces` or ``payload`` is read, so the
-    concatenated bytes are identical for any worker count.  With
+    Each block is classified on the calling thread when it is asked
+    for, and formatted only when its :meth:`StreamBlock.pieces` or
+    ``payload`` is read.  ``threads`` is validated but changes nothing:
+    classification does not run on worker threads.  With
     ``resume``, emission continues from resume.next and the csv header
     is suppressed (the interrupted stream already wrote it);
     concatenating the two outputs reproduces an uninterrupted run byte
@@ -1009,10 +980,10 @@ def stream_scan(
         state = resume
         header = b""  # the interrupted stream already wrote it
     tracker = _RunTracker(lo, None, state.open_run)
-    for chunk, checkpoint in _drive(state, tracker, threads=threads, chunk_size=chunk_size):
+    for chunk, checkpoint in _drive(state, tracker, chunk_size=chunk_size):
         yield StreamBlock(checkpoint, header, chunk)
         header = b""
-        del chunk  # release it before the next chunk is awaited
+        del chunk  # release it before the next chunk is classified
 
 
 def _require_range(lo: int, hi: int) -> None:

@@ -1,5 +1,6 @@
 """Command line surface: verbs, formats, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,35 @@ def run_cli(argv, capsysbinary):
     code = dispatch(list(argv))
     captured = capsysbinary.readouterr()
     return code, captured.out, captured.err.decode()
+
+
+def traced_main(monkeypatch, argv):
+    """Run ``vt argv`` through main() into a sink that counts lines.
+
+    Returns (exit_code, lines_written, peak_bytes_traced).
+    """
+
+    class CountingSink:
+        lines = 0
+
+        def write(self, data):
+            self.lines += data.count(b"\n")
+            return len(data)
+
+        def flush(self):
+            pass
+
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=sink, flush=sink.flush))
+    monkeypatch.setattr(sys, "argv", ["vt", *argv])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            main()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return exited.value.code, sink.lines, peak
 
 
 class TestEmitHelper:
@@ -142,6 +172,21 @@ class TestScan:
         assert code == 2
         assert "VT_THREADS" in err
 
+    @pytest.mark.parametrize("verb", ["scan", "runs", "twins"])
+    @pytest.mark.parametrize(
+        "flag,env", [("0", None), ("x", None), (None, "0"), (None, "soon")]
+    )
+    def test_bad_thread_values_are_one_line(self, capsysbinary, monkeypatch, verb, flag, env):
+        argv = [verb, "--from", "1", "--to", "10"]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("VT_THREADS", env)
+        code, out, err = run_cli(argv, capsysbinary)
+        assert code == 2
+        assert out == b""
+        assert err.count("\n") == 1 and "threads" in err.lower()
+
     def test_env_ignored_by_non_scanning_verbs(self, capsysbinary, monkeypatch):
         monkeypatch.setenv("VT_THREADS", "soon")
         code, _, _ = run_cli(["check", "7"], capsysbinary)
@@ -149,32 +194,25 @@ class TestScan:
 
     def test_peak_memory_is_a_chunk_not_its_bytes(self, monkeypatch):
         # 2^20 rows of 10-digit n: about 65 MB of jsonl, written a piece at a time
-        class CountingSink:
-            lines = 0
-
-            def write(self, data):
-                self.lines += data.count(b"\n")
-                return len(data)
-
-            def flush(self):
-                pass
-
-        sink = CountingSink()
-        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=sink, flush=sink.flush))
         lo = 2**31 + 12345
-        argv = ["vt", "scan", "--from", str(lo), "--to", str(lo + 2**20 - 1)]
-        monkeypatch.setattr(sys, "argv", argv)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SystemExit) as exited:
-                main()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exited.value.code == 0
-        assert sink.lines == 2**20
+        code, lines, peak = traced_main(
+            monkeypatch, ["scan", "--from", str(lo), "--to", str(lo + 2**20 - 1)]
+        )
+        assert code == 0
+        assert lines == 2**20
         # the chunk's columns (10 MB) and one piece being formatted
         assert peak < 24 * 2**20
+
+    def test_peak_memory_does_not_grow_with_threads(self, monkeypatch):
+        # as if on 4 CPUs: a second thread must not hold more chunks in flight
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        lo = 2**31 + 12345
+        argv = ["runs", "--min-len", "6", "--from", str(lo), "--to", str(lo + 2**22 - 1)]
+        code, lines, peak = traced_main(monkeypatch, [*argv, "--threads", "2"])
+        assert code == 0
+        assert lines == 29
+        # --threads 1 peaks at about 22 MiB
+        assert peak < 28 * 2**20
 
 
 class TestScanCheckpoint:
@@ -602,6 +640,23 @@ class TestSubprocessSurface:
         err = proc.stderr.decode()
         assert err.count("\n") == 1 and err.startswith("vt: ")
         assert path.exists()
+
+    def test_mismatched_current_t_is_one_short_line(self, tmp_path):
+        # t_(next-1) has about 4400 digits: the message must not print it
+        n = 10**2200
+        path = tmp_path / "cp.json"
+        checkpoint_save(ScanCheckpoint(CHECKPOINT_VERSION, 1, n, n, 0, None, 1), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", str(n),
+             "--checkpoint", str(path)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.count("\n") == 1 and err.startswith("vt: ")
+        assert "current_t" in err and len(err) < 300
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -176,3 +176,16 @@ class TestBinaryString:
         s = binary_string(x)
         assert int(s, 2) == x
         assert s.count("1") == popcount(x)
+
+
+class TestPackageNames:
+    def test_all_is_each_modules_list_once(self):
+        import vtnum
+        from vtnum import analysis, core, families, scanner
+
+        expected = [
+            "__version__", *core.__all__, *families.__all__, *scanner.__all__, *analysis.__all__
+        ]
+        assert vtnum.__all__ == expected
+        assert len(set(vtnum.__all__)) == len(vtnum.__all__)
+        assert [name for name in vtnum.__all__ if not hasattr(vtnum, name)] == []

@@ -3,9 +3,7 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -47,7 +45,6 @@ from vtnum.scanner import (
     _format_exact,
     _leading_true,
     _long_runs,
-    _ordered_map,
     _trailing_true,
 )
 
@@ -615,6 +612,19 @@ class TestCountAndFlags:
         assert flags.tolist() == [ref.is_vt_index(n) for n in range(1, 2001)]
 
 
+@pytest.fixture
+def default_int_digit_limit():
+    """Hold the interpreter's default int <-> str digit limit for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestCheckpointFile:
     def _state(self, **kw):
         base = dict(
@@ -727,21 +737,14 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointCorruptError):
             checkpoint_resume(path)
 
-    def test_current_t_past_the_int_digit_limit(self, tmp_path):
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this Python has no int <-> str digit limit")
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)  # the interpreter's default
+    def test_current_t_past_the_int_digit_limit(self, tmp_path, default_int_digit_limit):
         path = tmp_path / "cp.json"
         path.write_text(
             '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 100, "next": 8, '
             f'"vt_count": 3, "open_run": null, "current_t": "{"1" * 5000}"}}'
         )
-        try:
-            with pytest.raises(CheckpointCorruptError, match="current_t"):
-                checkpoint_resume(path)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        with pytest.raises(CheckpointCorruptError, match="current_t"):
+            checkpoint_resume(path)
 
     def test_frontier_outside_range(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -765,6 +768,16 @@ class TestCheckpointFile:
         path = tmp_path / "cp.json"
         checkpoint_save(self._state(current_t=29), path)
         with pytest.raises(CheckpointStateError):
+            checkpoint_resume(path)
+
+    def test_accumulator_mismatch_past_the_int_digit_limit(
+        self, tmp_path, default_int_digit_limit
+    ):
+        # t_(next-1) has about 4400 digits: the message must not print it
+        n = 10**2200
+        path = tmp_path / "cp.json"
+        checkpoint_save(ScanCheckpoint(CHECKPOINT_VERSION, 1, n, n, 0, None, 1), path)
+        with pytest.raises(CheckpointStateError, match="current_t"):
             checkpoint_resume(path)
 
 
@@ -1087,38 +1100,6 @@ class TestStreamPieces:
         b = dataclasses.replace(a, chunk=_classify(1, 1))
         assert a == b
         assert a != dataclasses.replace(a, header=_CSV_HEADER)
-
-
-class TestOrderedMap:
-    """The pool's workers and its window of results in flight."""
-
-    @pytest.mark.parametrize(
-        "cpus,threads,workers",
-        [(2, 64, 2), (2, 2, 2), (4, 3, 3), (1, 64, 1), (None, 16, 1)],
-    )
-    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        lock = threading.Lock()
-        started = consumed = most = 0
-        idents = set()
-
-        def job(i):
-            nonlocal started, most
-            with lock:
-                started += 1
-                most = max(most, started - consumed)
-                idents.add(threading.get_ident())
-            return i
-
-        got = []
-        for i in _ordered_map(job, ((i,) for i in range(300)), threads):
-            with lock:
-                consumed += 1
-            got.append(i)
-        assert got == list(range(300))
-        assert len(idents) <= workers
-        # workers + 2 jobs in the window, and the one the consumer is taking
-        assert most <= (workers + 3 if workers > 1 else 1)
 
 
 class TestSummaryEquality:
