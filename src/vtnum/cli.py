@@ -518,10 +518,11 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     # values are exact at any size: lift the 4300-digit int <-> str limit
-    # (t_n reaches it near n = 10^2150) where this Python has one
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is not None:
-        set_limit(0)
+    # (t_n reaches it near n = 10^2150) where this Python has one, and put
+    # the caller's limit back before exiting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = dispatch(sys.argv[1:])
         sys.stdout.flush()
@@ -532,4 +533,7 @@ def main() -> None:
         code = 0
     except KeyboardInterrupt:
         code = 130
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     sys.exit(code)

@@ -4,15 +4,17 @@ The scanner walks indexes in ascending order and classifies each t_n
 by the popcount test.  Ranges are cut into fixed chunks, split at
 FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers:
 
-    n <= FAST_INDEX_LIMIT   t_n fits one uint64 word: one closed-form
-                            product at the chunk start, then a cumsum
+    n <= FAST_INDEX_LIMIT   t_n fits one uint64 word: t_(a+i) =
+                            t_a + i*a + t_i over 2^15-row sub-blocks
     larger n                t_n as 32-bit limbs in uint64 columns, with
                             the carries propagated limb by limb
 
-Both are vectorized numpy kernels, exact at any index size.  Chunks are
-classified on the calling thread, one at a time and in ascending range
-order, so output is byte deterministic.  The ``threads`` keyword of the
-scanning functions is validated but changes nothing.
+Both are vectorized numpy kernels, exact at any index size.  A chunk
+keeps only its popcounts and verdicts; t is rebuilt from n for each
+piece that is formatted.  Chunks are classified on the calling thread,
+one at a time and in ascending range order, so output is byte
+deterministic.  The ``threads`` keyword of the scanning functions is
+validated but changes nothing.
 
 Output formats (byte exact, ASCII):
 
@@ -79,8 +81,8 @@ DEFAULT_CHUNK = 1 << 20
 # it, t_n is held as 32-bit limbs, as many as its size needs.
 FAST_INDEX_LIMIT = (1 << 32) - 1
 
-# Rows per pass of the limb kernel: its columns stay cache sized, and
-# i * a_j + c_j + carry stays below 2^48 for i below it.
+# Rows per pass of both kernels: their columns stay cache sized, and in
+# the limb kernel i * a_j + c_j + carry stays below 2^48 for i below it.
 _LIMB_BLOCK = 1 << 15
 _LOW32 = np.uint64(0xFFFFFFFF)
 
@@ -213,6 +215,17 @@ def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) 
     os.replace(tmp, dest)
 
 
+def _brief(value: int) -> str:
+    """An integer for an error message: in decimal up to 128 bits, else by bit length.
+
+    A checkpoint field may be thousands of digits long, past what a
+    one-line message can hold or the interpreter's digit limit allows.
+    """
+    if value.bit_length() <= 128:
+        return str(value)
+    return f"<{value.bit_length()}-bit integer>"
+
+
 def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
     """Load and validate a checkpoint written by :func:`checkpoint_save`.
 
@@ -274,25 +287,28 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
         raise CheckpointCorruptError(f"checkpoint field 'current_t' is unreadable: {exc}") from exc
 
     if not 1 <= lo <= hi:
-        raise CheckpointStateError(f"checkpoint range [{lo}, {hi}] is invalid")
+        raise CheckpointStateError(f"checkpoint range [{_brief(lo)}, {_brief(hi)}] is invalid")
     if not lo <= nxt <= hi + 1:
         raise CheckpointStateError(
-            f"checkpoint next = {nxt} falls outside [{lo}, {hi + 1}]"
+            f"checkpoint next = {_brief(nxt)} falls outside [{_brief(lo)}, {_brief(hi + 1)}]"
         )
     if not 0 <= vt_count <= nxt - lo:
         raise CheckpointStateError(
-            f"checkpoint vt_count = {vt_count} exceeds the {nxt - lo} scanned indexes"
+            f"checkpoint vt_count = {_brief(vt_count)} exceeds the "
+            f"{_brief(nxt - lo)} scanned indexes"
         )
     open_run: tuple[int, int] | None = None
     if raw_open is not None:
         start, length = raw_open
         if length < 1 or start < lo or start + length != nxt:
             raise CheckpointStateError(
-                f"checkpoint open_run {raw_open} does not end at the frontier {nxt}"
+                f"checkpoint open_run [{_brief(start)}, {_brief(length)}] "
+                f"does not end at the frontier {_brief(nxt)}"
             )
         if length > vt_count:
             raise CheckpointStateError(
-                f"checkpoint open_run length {length} exceeds vt_count {vt_count}"
+                f"checkpoint open_run length {_brief(length)} exceeds "
+                f"vt_count {_brief(vt_count)}"
             )
         open_run = (start, length)
     expected_t = (nxt - 1) * nxt // 2
@@ -322,16 +338,15 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
 class _Chunk:
     """One classified sub-range [lo, hi] ready for downstream consumers.
 
-    ``ts`` holds the values only in the one-word tier, where the kernel
-    computes them anyway; elsewhere :meth:`rows` rebuilds them, so the
-    classification-only consumers never hold a chunk of big integers.
+    A chunk holds only its popcounts and verdicts.  :meth:`columns` and
+    :meth:`rows` rebuild the values t_n from n when a formatter asks for
+    them, so the classification-only consumers never hold a t column.
     """
 
     lo: int
     hi: int
     pcs: np.ndarray
     vts: np.ndarray
-    ts: np.ndarray | None = None
 
     @property
     def vt_count(self) -> int:
@@ -343,8 +358,11 @@ class _Chunk:
         """The (n, t, pc, vt) columns of rows [a, b) of the chunk, as lists."""
         b = self.vts.size if b is None else b
         ns = range(self.lo + a, self.lo + b)
-        if self.ts is not None:
-            ts = self.ts[a:b].tolist()
+        if self.hi <= FAST_INDEX_LIMIT:
+            block = np.empty(min(b - a, _LIMB_BLOCK), dtype=np.uint64)
+            ts = []
+            for s in range(a, b, _LIMB_BLOCK):
+                ts += _word_ts(self.lo + s, block[: min(b - s, _LIMB_BLOCK)]).tolist()
         else:
             acc = itertools.accumulate(ns, initial=ns.start * (ns.start - 1) // 2)
             next(acc)  # t_(n-1) of the first row
@@ -354,13 +372,16 @@ class _Chunk:
     def columns(self, a: int, b: int) -> tuple:
         """The (n, t, pc, vt) columns of rows [a, b) for :func:`format_block`.
 
-        One-word chunks hand over slices of their arrays, which the numpy
-        formatter takes as they are; limb chunks build :meth:`rows`.
+        One-word chunks hand over numpy arrays, which the numpy formatter
+        takes as they are; limb chunks build :meth:`rows`.
         """
-        if self.ts is None:
+        if self.hi > FAST_INDEX_LIMIT:
             return self.rows(a, b)
+        ts = np.empty(b - a, dtype=np.uint64)
+        for s in range(0, ts.size, _LIMB_BLOCK):
+            _word_ts(self.lo + a + s, ts[s : s + _LIMB_BLOCK])
         ns = np.arange(self.lo + a, self.lo + b, dtype=np.uint64)
-        return ns, self.ts[a:b], self.pcs[a:b], self.vts[a:b]
+        return ns, ts, self.pcs[a:b], self.vts[a:b]
 
     def iter_records(self) -> Iterator[VtRecord]:
         for n, t, pc, vt in zip(*self.rows()):
@@ -373,13 +394,48 @@ def _vt_by_popcount(bits: int) -> np.ndarray:
     return np.array([is_triangular(pc) is not None for pc in range(bits + 1)])
 
 
+@functools.cache
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """i and t_i for every row i < _LIMB_BLOCK of a sub-block, as read-only uint64.
+
+    Shared by both kernels, and built on first use rather than at import.
+    """
+    i = np.arange(_LIMB_BLOCK, dtype=np.uint64)
+    t_i = i * (i + 1) >> 1
+    i.flags.writeable = t_i.flags.writeable = False
+    return i, t_i
+
+
+def _word_ts(a: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with t_a, t_(a+1), ...: at most _LIMB_BLOCK one-word values.
+
+    t_(a+i) = t_a + i*a + t_i, so the sub-block costs one product and two
+    adds, and no row depends on the one before it; every term stays below
+    2^64 up to FAST_INDEX_LIMIT.
+    """
+    i, t_i = _block_tables()
+    np.multiply(i[: out.size], np.uint64(a), out=out)
+    out += np.uint64(a * (a + 1) // 2)
+    out += t_i[: out.size]
+    return out
+
+
 def _classify_fast(lo: int, hi: int) -> _Chunk:
-    """Vectorized kernel for chunks entirely below FAST_INDEX_LIMIT."""
-    ts = np.arange(lo, hi + 1, dtype=np.uint64)
-    np.cumsum(ts, out=ts)  # in place: one array per chunk, not three
-    ts += np.uint64(lo * (lo - 1) // 2)  # t_(lo-1): the one closed-form product
-    pcs = np.bitwise_count(ts)
-    return _Chunk(lo, hi, pcs, _vt_by_popcount(64)[pcs], ts)
+    """Vectorized kernel for chunks entirely below FAST_INDEX_LIMIT.
+
+    In _LIMB_BLOCK-row sub-blocks, t is built by :func:`_word_ts` in one
+    reused cache-sized buffer; its popcounts and then its verdicts are
+    written straight into the chunk's columns.
+    """
+    pcs = np.empty(hi - lo + 1, dtype=np.uint8)
+    vts = np.empty(pcs.size, dtype=bool)
+    block = np.empty(min(pcs.size, _LIMB_BLOCK), dtype=np.uint64)
+    table = _vt_by_popcount(64)
+    for s in range(0, pcs.size, _LIMB_BLOCK):
+        e = min(s + _LIMB_BLOCK, pcs.size)
+        np.bitwise_count(_word_ts(lo + s, block[: e - s]), out=pcs[s:e])
+        np.take(table, pcs[s:e], out=vts[s:e])
+    return _Chunk(lo, hi, pcs, vts)
 
 
 def _limbs(x: int, count: int) -> np.ndarray:
@@ -393,13 +449,17 @@ def _classify_limbs(lo: int, hi: int) -> _Chunk:
     In a sub-block starting at index a, t_(a+i) = t_a + i*a + t_i.  With
     a and t_a cut into 32-bit limbs a_j and c_j, column j of that sum is
     i*a_j + c_j plus the carry out of column j - 1, t_i being the first
-    carry.  A column stays below 2^48: its low 32 bits are limb j of
-    t_(a+i), and the rest carries on.
+    carry; i and t_i come from the tables shared with the one-word
+    kernel.  A column stays below 2^48: its low 32 bits are limb j of
+    t_(a+i), and the rest carries on.  As in the one-word kernel, the
+    verdicts are looked up one sub-block at a time: np.take casts its
+    indexes to intp, 8 bytes a row.
     """
     bits = triangular(hi).bit_length()
     pcs = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(bits))
-    rows = np.arange(min(pcs.size, _LIMB_BLOCK), dtype=np.uint64)
-    t_rows = rows * (rows + 1) >> 1
+    vts = np.empty(pcs.size, dtype=bool)
+    rows, t_rows = _block_tables()
+    table = _vt_by_popcount(bits)
     for s in range(0, pcs.size, _LIMB_BLOCK):
         a, out = lo + s, pcs[s : s + _LIMB_BLOCK]
         i, carry = rows[: out.size], t_rows[: out.size]
@@ -408,7 +468,8 @@ def _classify_limbs(lo: int, hi: int) -> _Chunk:
             column = i * a_j + c_j + carry
             out += np.bitwise_count(column & _LOW32)
             carry = column >> 32
-    return _Chunk(lo, hi, pcs, _vt_by_popcount(bits)[pcs])
+        np.take(table, out, out=vts[s : s + _LIMB_BLOCK])
+    return _Chunk(lo, hi, pcs, vts)
 
 
 def _classify(lo: int, hi: int) -> _Chunk:
@@ -842,8 +903,10 @@ def _format_words(
     """The numpy path of :func:`format_block`: n, t < 2^64 and pc < _PC_LIMIT.
 
     Each pass fills a matrix with one fixed-width row per record, then
-    deletes its NUL bytes.  The result grows in place rather than being
-    joined, so no second copy of the whole payload is made.
+    deletes its NUL bytes.  The matrix is a view of a bytearray, so the
+    NULs are deleted from its bytes with no copy of the matrix first.
+    The result grows in place rather than being joined, so no second
+    copy of the whole payload is made.
     """
     lead, mid, tails = _LAYOUTS[fmt]
     n_at = len(lead)
@@ -852,13 +915,14 @@ def _format_words(
     out = bytearray()
     for a in range(0, ns.size, _FORMAT_BLOCK):
         b = min(a + _FORMAT_BLOCK, ns.size)
-        rows = np.empty((b - a, tail_at + tails.shape[1]), dtype=np.uint8)
+        buf = bytearray((b - a) * (tail_at + tails.shape[1]))
+        rows = np.frombuffer(buf, np.uint8).reshape(b - a, -1)
         rows[:, :n_at] = np.frombuffer(lead, np.uint8)
         rows[:, n_at + _WORD_DIGITS : t_at] = np.frombuffer(mid, np.uint8)
         _put_decimal(rows[:, n_at : n_at + _WORD_DIGITS], ns[a:b])
         _put_decimal(rows[:, t_at:tail_at], ts[a:b])
         rows[:, tail_at:] = np.take(tails, pcs[a:b].astype(np.intp) * 2 + vts[a:b], axis=0)
-        out += rows.tobytes().translate(None, b"\0")
+        out += buf.translate(None, b"\0")
     return out
 
 

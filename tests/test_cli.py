@@ -200,7 +200,8 @@ class TestScan:
         )
         assert code == 0
         assert lines == 2**20
-        # the chunk's columns (10 MB) and one piece being formatted
+        # the chunk's popcounts and verdicts (2 MB) and one piece being
+        # formatted: about 12 MiB
         assert peak < 24 * 2**20
 
     def test_peak_memory_does_not_grow_with_threads(self, monkeypatch):
@@ -211,7 +212,7 @@ class TestScan:
         code, lines, peak = traced_main(monkeypatch, [*argv, "--threads", "2"])
         assert code == 0
         assert lines == 29
-        # --threads 1 peaks at about 22 MiB
+        # --threads 1 peaks at about 6 MiB
         assert peak < 28 * 2**20
 
 
@@ -591,6 +592,20 @@ class TestTopLevel:
         assert run_cli(["--help"], capsysbinary)[0] == 0
         assert run_cli(["scan", "--help"], capsysbinary)[0] == 0
 
+    def test_main_restores_the_int_digit_limit(self, monkeypatch):
+        # t_n has about 4400 digits: main() lifts the limit to print it,
+        # then puts back the one it found
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int <-> str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, lines, _ = traced_main(monkeypatch, ["check", str(10**2200)])
+            assert (code, lines) == (0, 1)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 @pytest.fixture
 def no_int_digit_limit():
@@ -657,6 +672,27 @@ class TestSubprocessSurface:
         err = proc.stderr.decode()
         assert err.count("\n") == 1 and err.startswith("vt: ")
         assert "current_t" in err and len(err) < 300
+
+    def test_long_checkpoint_field_is_one_short_line(self, tmp_path):
+        # hi has 4300 digits, so a message printing hi + 1 would pass the
+        # default digit limit and run to thousands of characters
+        hi = "9" * 4300
+        path = tmp_path / "cp.json"
+        path.write_text(
+            f'{{"format_version": 2, "fmt": "jsonl", "lo": 5, "hi": {hi}, "next": 1, '
+            '"vt_count": 0, "open_run": null, "current_t": "0"}'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtnum", "scan", "--from", "5", "--to", hi,
+             "--checkpoint", str(path)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.count("\n") == 1 and err.startswith("vt: ")
+        assert "falls outside" in err and len(err) < 300
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from vtnum import (
     format_block,
     gap_window,
     merge_summaries,
+    popcount_of_triangular,
     resume_scan,
     scan,
     sigma_enumerate,
     stream_scan,
+    triangular,
     twin_pair,
     vt_flags,
 )
@@ -157,6 +160,60 @@ class TestTierBoundary:
         for rec in records:
             assert rec.t == ref.triangular(rec.n)
             assert rec.popcount == ref.popcount(rec.t)
+
+
+_WORD_SIZES = [1, _LIMB_BLOCK - 1, _LIMB_BLOCK, _LIMB_BLOCK + 1, 3 * _LIMB_BLOCK + 7]
+# chunks from 1, 10^9 and 2^32 - 2^16 - 5 (cut at FAST_INDEX_LIMIT), and
+# chunks ending at FAST_INDEX_LIMIT itself
+_WORD_WINDOWS = [
+    (lo, min(lo + size - 1, FAST_INDEX_LIMIT))
+    for lo in (1, 10**9, 2**32 - 2**16 - 5)
+    for size in _WORD_SIZES
+] + [(FAST_INDEX_LIMIT - size + 1, FAST_INDEX_LIMIT) for size in _WORD_SIZES]
+# every popcount a one-word t can have that is triangular
+_TRIANGULAR_PCS = {k * (k + 1) // 2 for k in range(1, 11)}
+
+
+class TestWordTier:
+    """The one-word kernel, sub-block by sub-block, against the scalar path."""
+
+    @pytest.mark.parametrize("lo,hi", _WORD_WINDOWS)
+    def test_kernel_and_columns_match_scalar(self, lo, hi):
+        chunk = _classify(lo, hi)
+        ns = list(range(lo, hi + 1))
+        pcs = [popcount_of_triangular(n) for n in ns]
+        assert chunk.pcs.tolist() == pcs
+        assert chunk.vts.tolist() == [pc in _TRIANGULAR_PCS for pc in pcs]
+        ts = [triangular(n) for n in ns]
+        assert chunk.rows()[1] == ts
+        assert chunk.rows(1, len(ns))[1] == ts[1:]
+        assert chunk.columns(0, len(ns))[1].tolist() == ts
+        for a in range(0, len(ns), _FORMAT_BLOCK):
+            b = min(a + _FORMAT_BLOCK, len(ns))
+            piece_ns, piece_ts, _, _ = chunk.columns(a, b)
+            assert piece_ns.tolist() == ns[a:b]
+            assert piece_ts.tolist() == ts[a:b]
+
+    def test_chunk_keeps_no_t_column(self):
+        chunk = _classify(1, 1000)
+        assert [f.name for f in dataclasses.fields(chunk)] == ["lo", "hi", "pcs", "vts"]
+
+    @pytest.mark.parametrize(
+        "count,limit_mib",
+        [(lambda lo, hi: find_runs(lo, hi, 6), 10), (count_vt, 8)],
+        ids=["find_runs", "count_vt"],
+    )
+    def test_peak_memory_below_a_t_column(self, count, limit_mib):
+        # 2^22 indexes in 2^20-row chunks: each chunk's pcs and vts take
+        # 2 MiB, where a uint64 t column would take 8 MiB more
+        lo = 2**31 + 12345
+        tracemalloc.start()
+        try:
+            count(lo, lo + 2**22 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 def _ref_rows(ref, lo, hi):
@@ -612,6 +669,9 @@ class TestCountAndFlags:
         assert flags.tolist() == [ref.is_vt_index(n) for n in range(1, 2001)]
 
 
+_HUGE = 10**4300 - 1  # as many digits as the default int <-> str limit allows
+
+
 @pytest.fixture
 def default_int_digit_limit():
     """Hold the interpreter's default int <-> str digit limit for one test."""
@@ -779,6 +839,32 @@ class TestCheckpointFile:
         checkpoint_save(ScanCheckpoint(CHECKPOINT_VERSION, 1, n, n, 0, None, 1), path)
         with pytest.raises(CheckpointStateError, match="current_t"):
             checkpoint_resume(path)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"lo": _HUGE, "hi": 5, "next": 5}, "is invalid"),
+            ({"lo": 5, "hi": _HUGE, "next": 1}, "falls outside"),
+            ({"vt_count": _HUGE}, "vt_count"),
+            ({"open_run": [_HUGE, 2]}, "does not end at the frontier"),
+            ({"hi": _HUGE, "next": _HUGE, "vt_count": 0, "open_run": [1, _HUGE - 1]},
+             "exceeds vt_count"),
+        ],
+    )
+    def test_long_fields_give_short_messages(
+        self, tmp_path, default_int_digit_limit, fields, message
+    ):
+        # each field is 4300 digits long: readable under the default digit
+        # limit, but too long to print (hi + 1 would pass the limit itself)
+        payload = {
+            "format_version": CHECKPOINT_VERSION, "fmt": "jsonl", "lo": 1, "hi": 100,
+            "next": 8, "vt_count": 3, "open_run": None, "current_t": "28", **fields,
+        }
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointStateError, match=message) as raised:
+            checkpoint_resume(path)
+        assert len(str(raised.value)) < 200
 
 
 class TestResume:
