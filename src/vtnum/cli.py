@@ -493,22 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     """Parse argv, run the mapped operation, and return the exit status."""
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return 0 if code is None else 2
-    except ParameterError as exc:
-        print(f"vt: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if isinstance(code, int):
+                return code
+            return 0 if code is None else 2
         return args.func(args)
-    except ParameterError as exc:
-        print(f"vt: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
+    except (ParameterError, CheckpointError) as exc:
         print(f"vt: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -4,7 +4,7 @@ The scanner walks indexes in ascending order and classifies each t_n
 by the popcount test.  Ranges are cut into fixed chunks, split at
 FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers:
 
-    n <= FAST_INDEX_LIMIT   t_n fits one uint64 word: t_(a+i) =
+    n <= FAST_INDEX_LIMIT   t_n < 2^64 fits one uint64 word: t_(a+i) =
                             t_a + i*a + t_i over 2^15-row sub-blocks
     larger n                t_n as 32-bit limbs in uint64 columns, with
                             the carries propagated limb by limb
@@ -24,11 +24,12 @@ Output formats (byte exact, ASCII):
 t is serialized as a decimal string in JSON so consumers limited to
 53-bit floats cannot corrupt large values.
 
-Records are formatted by one of two paths, picked from the values
-alone.  When every n and t is below 2^64, as in a one-word chunk, a
-numpy kernel writes fixed-width rows of bytes (digits from a table of
-4-digit groups, leading zeros and padding as NUL bytes) and deletes
-the NULs.  Otherwise each line is an f-string: the only exact path for
+Records are formatted by one of two paths, picked from the column
+types.  A one-word chunk hands over n and t as uint64 arrays, and a
+numpy kernel writes them as fixed-width rows of bytes (digits from a
+table of 4-digit groups, leading zeros and padding as NUL bytes), then
+deletes the NULs.  Any other columns, limb chunks' and lists of Python
+ints alike, go through one f-string per line: the only exact path for
 larger values, and the reference the kernel is tested against.
 """
 from __future__ import annotations
@@ -76,10 +77,11 @@ __all__ = [
 
 DEFAULT_CHUNK = 1 << 20
 
-# The two classification tiers.  Up to FAST_INDEX_LIMIT, t_n fits one
-# unsigned 64-bit word (n(n+1) < 2^64 exactly when n <= 2^32 - 1); past
-# it, t_n is held as 32-bit limbs, as many as its size needs.
-FAST_INDEX_LIMIT = (1 << 32) - 1
+# The two classification tiers.  FAST_INDEX_LIMIT is the last n with
+# t_n < 2^64 (t = 18446744070963499500): up to it, t_n and every term of
+# the one-word kernel fit one unsigned 64-bit word; past it, t_n is held
+# as 32-bit limbs, as many as its size needs.
+FAST_INDEX_LIMIT = 6074000999
 
 # Rows per pass of both kernels: their columns stay cache sized, and in
 # the limb kernel i * a_j + c_j + carry stays below 2^48 for i below it.
@@ -194,7 +196,7 @@ class CheckpointStateError(CheckpointError):
 
 
 def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) -> None:
-    """Write a checkpoint atomically (temp file in place, then rename)."""
+    """Write a checkpoint atomically: a temp file renamed to destination, removed on failure."""
     payload = {
         "format_version": state.format_version,
         "fmt": state.fmt,
@@ -207,12 +209,17 @@ def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) 
     }
     dest = os.fspath(destination)
     tmp = f"{dest}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dest)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, dest)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _brief(value: int) -> str:
@@ -357,23 +364,19 @@ class _Chunk:
     ) -> tuple[list[int], list[int], list[int], list[bool]]:
         """The (n, t, pc, vt) columns of rows [a, b) of the chunk, as lists."""
         b = self.vts.size if b is None else b
-        ns = range(self.lo + a, self.lo + b)
         if self.hi <= FAST_INDEX_LIMIT:
-            block = np.empty(min(b - a, _LIMB_BLOCK), dtype=np.uint64)
-            ts = []
-            for s in range(a, b, _LIMB_BLOCK):
-                ts += _word_ts(self.lo + s, block[: min(b - s, _LIMB_BLOCK)]).tolist()
-        else:
-            acc = itertools.accumulate(ns, initial=ns.start * (ns.start - 1) // 2)
-            next(acc)  # t_(n-1) of the first row
-            ts = list(acc)
-        return list(ns), ts, self.pcs[a:b].tolist(), self.vts[a:b].tolist()
+            return tuple(column.tolist() for column in self.columns(a, b))
+        ns = range(self.lo + a, self.lo + b)
+        acc = itertools.accumulate(ns, initial=ns.start * (ns.start - 1) // 2)
+        next(acc)  # t_(n-1) of the first row
+        return list(ns), list(acc), self.pcs[a:b].tolist(), self.vts[a:b].tolist()
 
     def columns(self, a: int, b: int) -> tuple:
         """The (n, t, pc, vt) columns of rows [a, b) for :func:`format_block`.
 
-        One-word chunks hand over numpy arrays, which the numpy formatter
-        takes as they are; limb chunks build :meth:`rows`.
+        A one-word chunk, every t_n below 2^64, hands over n and t as
+        uint64 arrays, which send :func:`format_block` down the numpy
+        path; a limb chunk hands over the lists of :meth:`rows`.
         """
         if self.hi > FAST_INDEX_LIMIT:
             return self.rows(a, b)
@@ -384,8 +387,10 @@ class _Chunk:
         return ns, ts, self.pcs[a:b], self.vts[a:b]
 
     def iter_records(self) -> Iterator[VtRecord]:
-        for n, t, pc, vt in zip(*self.rows()):
-            yield VtRecord(n, t, pc, vt)
+        # rows one sub-block at a time: a 2^20-row chunk's rows as lists take ~100 MiB
+        for a in range(0, self.vts.size, _LIMB_BLOCK):
+            rows = self.rows(a, min(a + _LIMB_BLOCK, self.vts.size))
+            yield from itertools.starmap(VtRecord, zip(*rows))
 
 
 @functools.lru_cache(maxsize=128)
@@ -410,8 +415,8 @@ def _word_ts(a: int, out: np.ndarray) -> np.ndarray:
     """Fill out with t_a, t_(a+1), ...: at most _LIMB_BLOCK one-word values.
 
     t_(a+i) = t_a + i*a + t_i, so the sub-block costs one product and two
-    adds, and no row depends on the one before it; every term stays below
-    2^64 up to FAST_INDEX_LIMIT.
+    adds, and no row depends on the one before it.  Every term and partial
+    sum is at most t_(a+i), so all stay below 2^64 up to FAST_INDEX_LIMIT.
     """
     i, t_i = _block_tables()
     np.multiply(i[: out.size], np.uint64(a), out=out)
@@ -421,7 +426,7 @@ def _word_ts(a: int, out: np.ndarray) -> np.ndarray:
 
 
 def _classify_fast(lo: int, hi: int) -> _Chunk:
-    """Vectorized kernel for chunks entirely below FAST_INDEX_LIMIT.
+    """Vectorized kernel for chunks that end at or below FAST_INDEX_LIMIT.
 
     In _LIMB_BLOCK-row sub-blocks, t is built by :func:`_word_ts` in one
     reused cache-sized buffer; its popcounts and then its verdicts are
@@ -656,7 +661,7 @@ def scan(
     exceptions propagate.  ``min_run_len`` controls which maximal runs
     land in the summary (None disables run tracking entirely).  The
     default of 1 keeps every run, about one :class:`Run` per 8 indexes,
-    and building them costs tens of times a plain classification; pass
+    and building them costs over a hundred times a plain classification; pass
     None, or the shortest run you need, for the fast path.  When ``checkpoint_path``
     is given, a resumable checkpoint is written atomically after each
     chunk; hand it to :func:`resume_scan` to continue an interrupted
@@ -834,7 +839,6 @@ _LINES: dict[str, Callable[[object, object, int, bool], str]] = {
     "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
 }
 
-_WORD = 1 << 64
 _WORD_DIGITS = 20  # decimal digits of 2^64 - 1
 _PC_LIMIT = 100  # popcounts the kernel formats; a one-word value has at most 64
 _FORMAT_BLOCK = 1 << 15  # rows per pass of the kernel: its row matrix stays cache sized
@@ -900,13 +904,14 @@ def _put_decimal(cells: np.ndarray, values: np.ndarray) -> None:
 def _format_words(
     ns: np.ndarray, ts: np.ndarray, pcs: np.ndarray, vts: np.ndarray, fmt: str
 ) -> bytearray:
-    """The numpy path of :func:`format_block`: n, t < 2^64 and pc < _PC_LIMIT.
+    """The numpy path of :func:`format_block`: uint64 n and t, pc < _PC_LIMIT.
 
     Each pass fills a matrix with one fixed-width row per record, then
     deletes its NUL bytes.  The matrix is a view of a bytearray, so the
     NULs are deleted from its bytes with no copy of the matrix first.
-    The result grows in place rather than being joined, so no second
-    copy of the whole payload is made.
+    A single pass, as in every :meth:`StreamBlock.pieces` call, is the
+    result as it is; later passes grow it in place rather than being
+    joined, so no second copy of the whole payload is made.
     """
     lead, mid, tails = _LAYOUTS[fmt]
     n_at = len(lead)
@@ -922,7 +927,11 @@ def _format_words(
         _put_decimal(rows[:, n_at : n_at + _WORD_DIGITS], ns[a:b])
         _put_decimal(rows[:, t_at:tail_at], ts[a:b])
         rows[:, tail_at:] = np.take(tails, pcs[a:b].astype(np.intp) * 2 + vts[a:b], axis=0)
-        out += buf.translate(None, b"\0")
+        piece = buf.translate(None, b"\0")
+        if a:
+            out += piece
+        else:
+            out = piece
     return out
 
 
@@ -931,34 +940,23 @@ def _format_exact(columns: tuple, fmt: str) -> bytes:
     return "".join(map(_LINES[fmt], *columns)).encode("ascii")
 
 
-def _all_below(column, limit: int) -> bool:
-    """Whether every value in the column lies in [0, limit)."""
-    if len(column) == 0:
-        return True
-    if isinstance(column, np.ndarray):
-        return int(column.min()) >= 0 and int(column.max()) < limit
-    return min(column) >= 0 and max(column) < limit
-
-
 def format_block(columns: tuple, fmt: str) -> bytes:
     """Serialize classified rows to the byte-exact jsonl or csv body.
 
     ``columns`` is (n, t, pc, vt): four equal-length sequences or numpy
-    arrays.  When every n and t is below 2^64 and every pc below 100
-    (the popcount of such a t is at most 64), the rows go through the
-    numpy kernel and the result is a bytearray; otherwise through one
-    f-string per line.  Both give the same bytes.
+    arrays.  The path follows the column types.  When n and t are uint64
+    arrays and pc an unsigned integer array below 100 (a one-word t has
+    at most 64 ones), as a one-word chunk hands them over, the rows go
+    through the numpy kernel and the result is a bytearray.  Anything
+    else, lists of Python ints included, goes through one f-string per
+    line.  Both give the same bytes.
     """
     _require_format(fmt)
     ns, ts, pcs, vts = columns
-    if _all_below(ns, _WORD) and _all_below(ts, _WORD) and _all_below(pcs, _PC_LIMIT):
-        return _format_words(
-            np.asarray(ns, dtype=np.uint64),
-            np.asarray(ts, dtype=np.uint64),
-            np.asarray(pcs, dtype=np.uint8),
-            np.asarray(vts, dtype=bool),
-            fmt,
-        )
+    arrays = all(isinstance(c, np.ndarray) for c in (ns, ts, pcs))
+    if arrays and ns.dtype == ts.dtype == np.uint64 and pcs.dtype.kind == "u":
+        if pcs.size == 0 or pcs.max() < _PC_LIMIT:
+            return _format_words(ns, ts, pcs, np.asarray(vts, dtype=bool), fmt)
     return _format_exact(columns, fmt)
 
 

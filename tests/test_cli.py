@@ -306,6 +306,18 @@ class TestScanCheckpoint:
         assert err.count("\n") == 1 and err.startswith("vt: ")
         assert str(path) in err
 
+    def test_empty_checkpoint_path_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, capsysbinary
+    ):
+        # the temp file of an empty path is ".tmp.<pid>" in the working directory
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            ["scan", "--from", "1", "--to", "10", "--checkpoint", ""], capsysbinary
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("vt: cannot use checkpoint")
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_checkpoint_fails_loud(self, tmp_path, capsysbinary):
         path = tmp_path / "cp.json"
         path.write_text("{nope")

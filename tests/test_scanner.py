@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -146,11 +147,21 @@ class TestTierBoundary:
         lo, hi = FAST_INDEX_LIMIT - 5, FAST_INDEX_LIMIT + 5
         assert scan(lo, hi, chunk_size=3) == scan(lo, hi)
 
-    def test_power_index_at_tier_edge(self):
-        # t_(2^32) = 2^63 + 2^31: the first index classified by the limb tier
-        rec = classify_index(FAST_INDEX_LIMIT + 1)
+    def test_power_index_2_32(self):
+        # t_(2^32) = 2^63 + 2^31: n(n+1) passes 2^64, t_n does not
+        rec = classify_index(2**32)
         assert rec.t == 2**63 + 2**31
         assert rec.popcount == 2
+        assert not rec.is_vt
+
+    def test_limit_is_the_last_word_index(self):
+        assert triangular(FAST_INDEX_LIMIT) < 2**64 <= triangular(FAST_INDEX_LIMIT + 1)
+
+    def test_first_index_past_the_word_tier(self):
+        # t_(L+1) = 2^64 + 3327948884: the first index classified by the limb tier
+        rec = classify_index(FAST_INDEX_LIMIT + 1)
+        assert rec.t == 2**64 + 3327948884
+        assert rec.popcount == 16
         assert not rec.is_vt
 
     @pytest.mark.parametrize("n", [10**10, 10**15, 10**18])
@@ -163,8 +174,8 @@ class TestTierBoundary:
 
 
 _WORD_SIZES = [1, _LIMB_BLOCK - 1, _LIMB_BLOCK, _LIMB_BLOCK + 1, 3 * _LIMB_BLOCK + 7]
-# chunks from 1, 10^9 and 2^32 - 2^16 - 5 (cut at FAST_INDEX_LIMIT), and
-# chunks ending at FAST_INDEX_LIMIT itself
+# chunks from 1, 10^9 and 2^32 - 2^16 - 5 (across 2^32 for the longest),
+# and chunks ending at FAST_INDEX_LIMIT itself
 _WORD_WINDOWS = [
     (lo, min(lo + size - 1, FAST_INDEX_LIMIT))
     for lo in (1, 10**9, 2**32 - 2**16 - 5)
@@ -290,6 +301,33 @@ class TestWideTier:
         scan(lo, hi, records.append, chunk_size=chunk)
         rows = _ref_rows(ref, lo, hi)
         assert records == [VtRecord(*row) for row in zip(*rows)]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("chunk", [1, 7, _LIMB_BLOCK, 1 << 20])
+    def test_stream_across_fast_limit(self, ref, chunk, fmt):
+        # a sub-block and 50 rows on each side of the last one-word index
+        lo = FAST_INDEX_LIMIT - _LIMB_BLOCK - 50
+        hi = FAST_INDEX_LIMIT + _LIMB_BLOCK + 50
+        header = _CSV_HEADER if fmt == "csv" else b""
+        blocks = list(stream_scan(lo, hi, fmt, chunk_size=chunk))
+        got = b"".join(b.payload for b in blocks)
+        assert got == header + _format_exact(_ref_rows(ref, lo, hi), fmt)
+        # the last one-word chunk hands the formatter uint64 columns, the
+        # first limb chunk lists
+        edge = next(i for i, b in enumerate(blocks) if b.chunk.hi == FAST_INDEX_LIMIT)
+        last_word, first_limb = blocks[edge].chunk, blocks[edge + 1].chunk
+        ns, ts, _, _ = last_word.columns(0, last_word.vts.size)
+        assert ns.dtype == ts.dtype == np.uint64
+        assert int(ts[-1]) == triangular(FAST_INDEX_LIMIT)
+        ns, ts, _, _ = first_limb.columns(0, first_limb.vts.size)
+        assert isinstance(ns, list) and isinstance(ts, list)
+
+    def test_scan_across_fast_limit_in_tiny_chunks(self, ref):
+        lo, hi = FAST_INDEX_LIMIT - 300, FAST_INDEX_LIMIT + 300
+        records = []
+        summary = scan(lo, hi, records.append, chunk_size=3)
+        assert records == [VtRecord(*row) for row in zip(*_ref_rows(ref, lo, hi))]
+        assert summary.runs_found == _expected_runs(ref, lo, hi, 1)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -738,6 +776,15 @@ class TestCheckpointFile:
         checkpoint_save(self._state(), path)
         assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            checkpoint_save(self._state(), tmp_path / "cp.json")
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
     def test_big_current_t_survives_json(self, tmp_path):
         # t at 10^18 overflows a double; the string field must preserve it
         n = 10**18
@@ -1039,6 +1086,14 @@ _words = st.one_of(
 )
 
 
+def _u64(values):
+    return np.array(values, dtype=np.uint64)
+
+
+def _u8(values):
+    return np.array(values, dtype=np.uint8)
+
+
 class TestWordFormatter:
     """The numpy formatter against the f-string path, byte for byte."""
 
@@ -1068,15 +1123,25 @@ class TestWordFormatter:
     @pytest.mark.parametrize(
         "columns,numpy_path",
         [
-            (([2**64 - 1], [2**64 - 1], [64], [False]), True),
+            # lists take the f-string path, whatever their values
+            (([2**64 - 1], [2**64 - 1], [64], [False]), False),
             (([1, 2**64 - 1], [1, 2**64], [1, 1], [True, True]), False),
             (([2**64, 3], [1, 6], [1, 2], [True, False]), False),
             (([7], [28], [100], [False]), False),
             (([-1], [0], [0], [False]), False),
-            (([], [], [], []), True),
+            (([], [], [], []), False),
+            # uint64 n and t with unsigned pc below 100 take the numpy path
+            ((_u64([2**64 - 1]), _u64([2**64 - 1]), _u8([64]), np.array([False])), True),
+            ((_u64([1, 6]), _u64([1, 21]), _u8([1, 3]), [True, True]), True),
+            ((_u64([]), _u64([]), _u8([]), np.array([], dtype=bool)), True),
+            # any other type or popcount does not
+            ((_u64([7]), _u64([28]), _u8([100]), np.array([False])), False),
+            ((_u64([7]), _u64([28]), np.array([-200], dtype=np.int64), np.array([False])), False),
+            ((np.array([7], dtype=np.int64), _u64([28]), _u8([3]), np.array([True])), False),
+            ((_u64([7]), _u64([28]), [3], [True]), False),
         ],
     )
-    def test_path_follows_the_values(self, columns, numpy_path, fmt):
+    def test_path_follows_the_column_types(self, columns, numpy_path, fmt):
         got = format_block(columns, fmt)
         assert isinstance(got, bytearray) == numpy_path
         assert got == _format_exact(columns, fmt)
@@ -1120,8 +1185,8 @@ class TestWordFormatter:
         assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
 
 
-# n gains a digit inside the one-word tier; t crosses 2^64, and n
-# reaches 2^64 + 2, inside the limb tier
+# n gains a digit inside the one-word tier; t crosses 2^64 at the tier
+# limit; n reaches 2^64 + 2 inside the limb tier
 _PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, 2**64 + 2]
 _PIECE_CHUNKS = [1, 5, _FORMAT_BLOCK - 1, _FORMAT_BLOCK, _FORMAT_BLOCK + 1, 1 << 20]
 
