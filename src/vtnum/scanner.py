@@ -24,19 +24,19 @@ Output formats (byte exact, ASCII):
 t is serialized as a decimal string in JSON so consumers limited to
 53-bit floats cannot corrupt large values.
 
-Records are formatted by one of two paths, picked from the column
-types.  A one-word chunk hands over n and t as uint64 arrays, and a
-numpy kernel writes them as fixed-width rows of bytes (digits from a
-table of 4-digit groups, leading zeros and padding as NUL bytes), then
-deletes the NULs.  Any other columns, limb chunks' and lists of Python
-ints alike, go through one f-string per line: the only exact path for
-larger values, and the reference the kernel is tested against.
+A chunk's records, at either tier, are formatted by one numpy kernel,
+exact at any size.  It builds n and t in base-10^4 groups the way the
+classifiers build t, t_(a+i) = t_a + i*a + t_i, as fixed-width rows of
+bytes (digits from a table of 4-digit groups, leading zeros and padding
+as NUL bytes), then deletes the NULs.  Any other records go through one
+f-string per line: the reference the kernel is tested against.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import time
@@ -341,6 +341,20 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
 # Chunked classification
 
 
+@dataclass(frozen=True)
+class _Triangulars:
+    """The triangular numbers of a range of n: a sequence built only when iterated."""
+
+    ns: range
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __iter__(self) -> Iterator[int]:
+        ts = itertools.accumulate(self.ns, initial=self.ns.start * (self.ns.start - 1) // 2)
+        return itertools.islice(ts, 1, None)  # past t_(n-1) of the first n
+
+
 @dataclass
 class _Chunk:
     """One classified sub-range [lo, hi] ready for downstream consumers.
@@ -362,35 +376,22 @@ class _Chunk:
     def rows(
         self, a: int = 0, b: int | None = None
     ) -> tuple[list[int], list[int], list[int], list[bool]]:
-        """The (n, t, pc, vt) columns of rows [a, b) of the chunk, as lists."""
-        b = self.vts.size if b is None else b
-        if self.hi <= FAST_INDEX_LIMIT:
-            return tuple(column.tolist() for column in self.columns(a, b))
-        ns = range(self.lo + a, self.lo + b)
-        acc = itertools.accumulate(ns, initial=ns.start * (ns.start - 1) // 2)
-        next(acc)  # t_(n-1) of the first row
-        return list(ns), list(acc), self.pcs[a:b].tolist(), self.vts[a:b].tolist()
+        """The :meth:`columns` of rows [a, b) of the chunk, as lists of Python values."""
+        ns, ts, pcs, vts = self.columns(a, self.vts.size if b is None else b)
+        return list(ns), list(ts), pcs.tolist(), vts.tolist()
 
     def columns(self, a: int, b: int) -> tuple:
         """The (n, t, pc, vt) columns of rows [a, b) for :func:`format_block`.
 
-        A one-word chunk, every t_n below 2^64, hands over n and t as
-        uint64 arrays, which send :func:`format_block` down the numpy
-        path; a limb chunk hands over the lists of :meth:`rows`.
+        At either tier n is a range and t its :class:`_Triangulars`: the kernel's input.
         """
-        if self.hi > FAST_INDEX_LIMIT:
-            return self.rows(a, b)
-        ts = np.empty(b - a, dtype=np.uint64)
-        for s in range(0, ts.size, _LIMB_BLOCK):
-            _word_ts(self.lo + a + s, ts[s : s + _LIMB_BLOCK])
-        ns = np.arange(self.lo + a, self.lo + b, dtype=np.uint64)
-        return ns, ts, self.pcs[a:b], self.vts[a:b]
+        ns = range(self.lo + a, self.lo + b)
+        return ns, _Triangulars(ns), self.pcs[a:b], self.vts[a:b]
 
     def iter_records(self) -> Iterator[VtRecord]:
         # rows one sub-block at a time: a 2^20-row chunk's rows as lists take ~100 MiB
         for a in range(0, self.vts.size, _LIMB_BLOCK):
-            rows = self.rows(a, min(a + _LIMB_BLOCK, self.vts.size))
-            yield from itertools.starmap(VtRecord, zip(*rows))
+            yield from map(VtRecord, *self.rows(a, min(a + _LIMB_BLOCK, self.vts.size)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -400,45 +401,36 @@ def _vt_by_popcount(bits: int) -> np.ndarray:
 
 
 @functools.cache
-def _block_tables() -> tuple[np.ndarray, np.ndarray]:
-    """i and t_i for every row i < _LIMB_BLOCK of a sub-block, as read-only uint64.
+def _block_tables(dtype: type = np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """i and t_i for every row i < _LIMB_BLOCK of a sub-block, read-only.
 
-    Shared by both kernels, and built on first use rather than at import.
+    Shared by both kernels (uint64) and the formatter (uint32), and built on first use.
     """
-    i = np.arange(_LIMB_BLOCK, dtype=np.uint64)
+    i = np.arange(_LIMB_BLOCK, dtype=dtype)
     t_i = i * (i + 1) >> 1
     i.flags.writeable = t_i.flags.writeable = False
     return i, t_i
 
 
-def _word_ts(a: int, out: np.ndarray) -> np.ndarray:
-    """Fill out with t_a, t_(a+1), ...: at most _LIMB_BLOCK one-word values.
-
-    t_(a+i) = t_a + i*a + t_i, so the sub-block costs one product and two
-    adds, and no row depends on the one before it.  Every term and partial
-    sum is at most t_(a+i), so all stay below 2^64 up to FAST_INDEX_LIMIT.
-    """
-    i, t_i = _block_tables()
-    np.multiply(i[: out.size], np.uint64(a), out=out)
-    out += np.uint64(a * (a + 1) // 2)
-    out += t_i[: out.size]
-    return out
-
-
 def _classify_fast(lo: int, hi: int) -> _Chunk:
     """Vectorized kernel for chunks that end at or below FAST_INDEX_LIMIT.
 
-    In _LIMB_BLOCK-row sub-blocks, t is built by :func:`_word_ts` in one
-    reused cache-sized buffer; its popcounts and then its verdicts are
-    written straight into the chunk's columns.
+    In _LIMB_BLOCK-row sub-blocks starting at a, t_(a+i) = t_a + i*a + t_i
+    is built in one reused cache-sized buffer by one product and two adds,
+    no row depending on the one before it.  Every term and partial sum is
+    at most t_(a+i), so all stay below 2^64 up to FAST_INDEX_LIMIT.  The
+    popcounts and then the verdicts go straight into the chunk's columns.
     """
     pcs = np.empty(hi - lo + 1, dtype=np.uint8)
     vts = np.empty(pcs.size, dtype=bool)
     block = np.empty(min(pcs.size, _LIMB_BLOCK), dtype=np.uint64)
-    table = _vt_by_popcount(64)
+    (i, t_i), table = _block_tables(), _vt_by_popcount(64)
     for s in range(0, pcs.size, _LIMB_BLOCK):
-        e = min(s + _LIMB_BLOCK, pcs.size)
-        np.bitwise_count(_word_ts(lo + s, block[: e - s]), out=pcs[s:e])
+        a, e = lo + s, min(s + _LIMB_BLOCK, pcs.size)
+        ts = np.multiply(i[: e - s], np.uint64(a), out=block[: e - s])
+        ts += np.uint64(a * (a + 1) // 2)
+        ts += t_i[: e - s]
+        np.bitwise_count(ts, out=pcs[s:e])
         np.take(table, pcs[s:e], out=vts[s:e])
     return _Chunk(lo, hi, pcs, vts)
 
@@ -839,96 +831,107 @@ _LINES: dict[str, Callable[[object, object, int, bool], str]] = {
     "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
 }
 
-_WORD_DIGITS = 20  # decimal digits of 2^64 - 1
-_PC_LIMIT = 100  # popcounts the kernel formats; a one-word value has at most 64
-_FORMAT_BLOCK = 1 << 15  # rows per pass of the kernel: its row matrix stays cache sized
-_E8 = np.uint64(10**8)
-_E4 = np.uint32(10**4)
-_POW10 = np.array([10**k for k in range(1, _WORD_DIGITS)], dtype=np.uint64)
+_FORMAT_BLOCK = _LIMB_BLOCK  # rows per pass of the kernel: its columns stay below 2^32
+_E4 = 10**4
+# entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32
+_DIGIT_GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(_E4)), dtype=np.uint32)
 
 
-def _digit_groups() -> np.ndarray:
-    """Entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32."""
-    return np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), dtype=np.uint32)
+@functools.lru_cache(maxsize=128)
+def _layout(fmt: str, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A format's line cut around n and t, in NUL padded uint32 words: before n,
+    between n and t, and a table whose entry [pc, vt] holds the rest, for pc <= bits."""
 
+    def words(text: str) -> np.ndarray:
+        return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, "\0").encode("ascii"), np.uint32)
 
-_DIGIT_GROUPS = _digit_groups()
-
-
-def _layout(line: Callable[[object, object, int, bool], str]) -> tuple[bytes, bytes, np.ndarray]:
-    """Cut a format's line around n and t.
-
-    Returns the bytes before n, the bytes between n and t, and a table
-    whose row 2 * pc + vt holds the rest of the line, NUL padded.
-    """
+    line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
-    mid = rest.partition("\2")[0]
-    tails = [
-        line("\1", "\2", pc, vt).partition("\2")[2].encode("ascii")
-        for pc in range(_PC_LIMIT)
-        for vt in (False, True)
-    ]
-    width = max(map(len, tails))
-    table = np.frombuffer(b"".join(tail.ljust(width, b"\0") for tail in tails), np.uint8)
-    return lead.encode("ascii"), mid.encode("ascii"), table.reshape(len(tails), width)
+    tails = [line("", "\2", pc, vt).partition("\2")[2] for pc in range(bits + 1) for vt in (0, 1)]
+    width = -(-max(map(len, tails)) // 4) * 4
+    table = words("".join(tail.ljust(width, "\0") for tail in tails))
+    return words(lead), words(rest.partition("\2")[0]), table.reshape(bits + 1, 2, -1)
 
 
-_LAYOUTS = {fmt: _layout(line) for fmt, line in _LINES.items()}
+def _groups(x: int, count: int) -> list[int]:
+    """The low `count` base-10^4 groups of x, least significant first."""
+    return [x // _E4**j % _E4 for j in range(count)]
 
 
-def _put_decimal(cells: np.ndarray, values: np.ndarray) -> None:
-    """Write uint64 values into a (rows, 20) byte field, right aligned, NUL padded.
+def _digit_runs(first: int, rows: int, reach: Callable[[int], int]) -> list[tuple[int, int, int]]:
+    """(start, stop, digit count) of each run of rows whose values have one digit count.
 
-    Each value splits into three limbs of 8 digits by divmod 10^8 (the top
-    one is below 1845), and each limb into 4-digit groups looked up in
-    _DIGIT_GROUPS.
+    The rows rise from `first` >= 1; reach(k) is the first row whose value is at least 10^k.
     """
-    high, low = np.divmod(values, _E8)
-    top, mid = np.divmod(high, _E8)
-    groups = np.stack(
-        [
-            top.astype(np.uint32),
-            *np.divmod(mid.astype(np.uint32), _E4),
-            *np.divmod(low.astype(np.uint32), _E4),
-        ],
-        axis=1,
-    )
-    cells[:] = np.take(_DIGIT_GROUPS, groups).view(np.uint8)
-    # leading zeros become NUL, one slice per run of rows with equal digit counts
-    zeros = _WORD_DIGITS - 1 - np.searchsorted(_POW10, values, side="right")
-    cuts = (np.flatnonzero(zeros[1:] != zeros[:-1]) + 1).tolist()
-    for a, b in zip([0, *cuts], [*cuts, values.size]):
-        cells[a:b, : zeros[a]] = 0
+    # at most the digits of first, as 0.3010299 < log10(2)
+    digits, runs, start = (first.bit_length() - 1) * 3010299 // 10**7 + 1, [], 0
+    while start < rows:
+        stop = min(reach(digits), rows)
+        if stop > start:
+            runs.append((start, stop, digits))
+            start = stop
+        digits += 1
+    return runs
 
 
-def _format_words(
-    ns: np.ndarray, ts: np.ndarray, pcs: np.ndarray, vts: np.ndarray, fmt: str
-) -> bytearray:
-    """The numpy path of :func:`format_block`: uint64 n and t, pc < _PC_LIMIT.
+def _put_groups(field: np.ndarray, base: int, step: int, first: np.ndarray) -> None:
+    """Write base + i*step + first[i] into row i of field, a (rows, width) uint32 view.
 
-    Each pass fills a matrix with one fixed-width row per record, then
-    deletes its NUL bytes.  The matrix is a view of a bytearray, so the
-    NULs are deleted from its bytes with no copy of the matrix first.
-    A single pass, as in every :meth:`StreamBlock.pieces` call, is the
-    result as it is; later passes grow it in place rather than being
-    joined, so no second copy of the whole payload is made.
+    The groups go most significant first.  Only the low groups vary, up
+    to 10^(4*low) > the largest increment (3011 / 40000 > log10(2) / 4):
+    column j < low is i*step_j + base_j plus the carry out of column
+    j - 1, first[i] being the first carry.  The carry out of the top one
+    is 0 up to some row and 1 from there on, as the values rise, so the
+    high groups are those of base // 10^(4*low) or of that plus 1.
     """
-    lead, mid, tails = _LAYOUTS[fmt]
-    n_at = len(lead)
-    t_at = n_at + _WORD_DIGITS + len(mid)
-    tail_at = t_at + _WORD_DIGITS
+    rows, width = field.shape
+    i = _block_tables(np.uint32)[0][:rows]
+    top = (rows - 1) * step + int(first[-1])
+    low = min(width, (top.bit_length() * 3011 + 39999) // 40000)
+    carry, product = first.copy(), np.empty(rows, dtype=np.uint32)
+    for j, (step_j, base_j) in enumerate(zip(_groups(step, low), _groups(base, low))):
+        if step_j:
+            carry += np.multiply(i, step_j, out=product)
+        carry += base_j
+        np.divmod(carry, _E4, out=(carry, field[:, width - 1 - j]))
+    high, switch = base // _E4**low, rows - int(np.count_nonzero(carry))
+    field[:switch, : width - low] = _groups(high, width - low)[::-1]
+    if switch < rows:
+        field[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
+
+
+def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> bytearray:
+    """The kernel path of :func:`format_block`, in passes of _FORMAT_BLOCK rows.
+
+    Each pass fills a matrix with one NUL padded row of uint32 words per
+    record, then deletes its NUL bytes; later passes grow the first in
+    place.  n = a + i and t = t_a + i*a + t_i, as the classifiers build t,
+    go in by :func:`_put_groups`: for i < 2^15 a column of t stays below
+    2^15 * 10^4 + 10^4 + 2^29 < 2^32.  Digits come from _DIGIT_GROUPS,
+    and in each run of rows with one digit count leading zeros become NUL.
+    """
     out = bytearray()
-    for a in range(0, ns.size, _FORMAT_BLOCK):
-        b = min(a + _FORMAT_BLOCK, ns.size)
-        buf = bytearray((b - a) * (tail_at + tails.shape[1]))
-        rows = np.frombuffer(buf, np.uint8).reshape(b - a, -1)
-        rows[:, :n_at] = np.frombuffer(lead, np.uint8)
-        rows[:, n_at + _WORD_DIGITS : t_at] = np.frombuffer(mid, np.uint8)
-        _put_decimal(rows[:, n_at : n_at + _WORD_DIGITS], ns[a:b])
-        _put_decimal(rows[:, t_at:tail_at], ts[a:b])
-        rows[:, tail_at:] = np.take(tails, pcs[a:b].astype(np.intp) * 2 + vts[a:b], axis=0)
+    i, t_i = _block_tables(np.uint32)
+    for s in range(0, len(ns), _FORMAT_BLOCK):
+        a, m, t_a = ns[s], min(_FORMAT_BLOCK, len(ns) - s), ns[s] * (ns[s] + 1) // 2
+        n_runs = _digit_runs(a, m, lambda k: 10**k - a)
+        t_runs = _digit_runs(t_a, m, lambda k: (math.isqrt(8 * 10**k) + 1) // 2 - a)
+        n_width, t_width = -(-n_runs[-1][2] // 4), -(-t_runs[-1][2] // 4)
+        lead, mid, tails = _layout(fmt, triangular(ns[-1]).bit_length())
+        n_at, t_at = lead.size, lead.size + n_width + mid.size
+        buf = bytearray(4 * m * (t_at + t_width + tails.shape[2]))
+        rows = np.frombuffer(buf, np.uint32).reshape(m, -1)
+        _put_groups(rows[:, n_at : n_at + n_width], a, 0, i[:m])
+        _put_groups(rows[:, t_at : t_at + t_width], t_a, a, t_i[:m])
+        fields = rows[:, n_at : t_at + t_width]  # mid holds group 0 until written below
+        fields[...] = _DIGIT_GROUPS[fields]
+        rows[:, :n_at], rows[:, t_at - mid.size : t_at] = lead, mid
+        rows[:, t_at + t_width :] = tails[pcs[s : s + m], vts[s : s + m].view(np.uint8)]
+        for at, width, runs in ((n_at, n_width, n_runs), (t_at, t_width, t_runs)):
+            for start, stop, digits in runs:
+                rows.view(np.uint8)[start:stop, 4 * at : 4 * (at + width) - digits] = 0
         piece = buf.translate(None, b"\0")
-        if a:
+        if s:
             out += piece
         else:
             out = piece
@@ -944,19 +947,16 @@ def format_block(columns: tuple, fmt: str) -> bytes:
     """Serialize classified rows to the byte-exact jsonl or csv body.
 
     ``columns`` is (n, t, pc, vt): four equal-length sequences or numpy
-    arrays.  The path follows the column types.  When n and t are uint64
-    arrays and pc an unsigned integer array below 100 (a one-word t has
-    at most 64 ones), as a one-word chunk hands them over, the rows go
-    through the numpy kernel and the result is a bytearray.  Anything
-    else, lists of Python ints included, goes through one f-string per
-    line.  Both give the same bytes.
+    arrays.  A chunk's columns, as :meth:`_Chunk.columns` hands them over,
+    go through the numpy kernel at any size, and the result is a bytearray.
+    Anything else, lists or arrays alike, goes through one f-string per
+    line, so a t column from a caller is never trusted.  Both give the
+    same bytes.
     """
     _require_format(fmt)
     ns, ts, pcs, vts = columns
-    arrays = all(isinstance(c, np.ndarray) for c in (ns, ts, pcs))
-    if arrays and ns.dtype == ts.dtype == np.uint64 and pcs.dtype.kind == "u":
-        if pcs.size == 0 or pcs.max() < _PC_LIMIT:
-            return _format_words(ns, ts, pcs, np.asarray(vts, dtype=bool), fmt)
+    if isinstance(ts, _Triangulars) and ts.ns is ns:
+        return _format_range(ns, pcs, vts, fmt)
     return _format_exact(columns, fmt)
 
 
@@ -978,7 +978,7 @@ class StreamBlock:
     chunk: _Chunk = field(compare=False, repr=False)
 
     def pieces(self) -> Iterator[bytes]:
-        """The block's bytes, formatted _FORMAT_BLOCK rows at a time.
+        """The block's bytes, one :func:`format_block` kernel pass of _FORMAT_BLOCK rows at a time.
 
         The first piece carries the header, if any.  Only the piece being
         formatted is built, so a consumer that writes each piece before

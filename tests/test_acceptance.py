@@ -246,7 +246,10 @@ def test_criterion_11_parallel_determinism(_report):
             h.update(block.payload)
         return h.hexdigest()
 
+    # the stream's bytes, pinned: agreeing with each other is not enough
+    expected = "69989d678cde8923f970357ffdc95bffa42b0c48f270d94f18cb22da81196a6f"
     d1, d4, d8 = digest(1), digest(4), digest(8)
-    ok = d1 == d4 == d8
+    ok = d1 == d4 == d8 == expected
     _report(11, ok, f"sha256(jsonl over [1, 1e6]) = {d1[:16]}... for 1/4/8 workers")
     assert d1 == d4 == d8
+    assert d1 == expected

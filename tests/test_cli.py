@@ -204,6 +204,18 @@ class TestScan:
         # formatted: about 12 MiB
         assert peak < 24 * 2**20
 
+    def test_peak_memory_past_2_64(self, monkeypatch):
+        # 2^18 rows of 20-digit n and 39-digit t, through the same kernel
+        # as one-word chunks: about 11 MiB, where lists of Python ints and
+        # one f-string per line took about 15
+        lo = 2**64 + 12345
+        code, lines, peak = traced_main(
+            monkeypatch, ["scan", "--from", str(lo), "--to", str(lo + 2**18 - 1)]
+        )
+        assert code == 0
+        assert lines == 2**18
+        assert peak < 13 * 2**20
+
     def test_peak_memory_does_not_grow_with_threads(self, monkeypatch):
         # as if on 4 CPUs: a second thread must not hold more chunks in flight
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

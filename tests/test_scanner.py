@@ -1,6 +1,7 @@
 """Range scanning: chunking, tiers, runs, checkpoints, byte streams."""
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -198,12 +199,12 @@ class TestWordTier:
         ts = [triangular(n) for n in ns]
         assert chunk.rows()[1] == ts
         assert chunk.rows(1, len(ns))[1] == ts[1:]
-        assert chunk.columns(0, len(ns))[1].tolist() == ts
+        assert list(chunk.columns(0, len(ns))[1]) == ts
         for a in range(0, len(ns), _FORMAT_BLOCK):
             b = min(a + _FORMAT_BLOCK, len(ns))
             piece_ns, piece_ts, _, _ = chunk.columns(a, b)
-            assert piece_ns.tolist() == ns[a:b]
-            assert piece_ts.tolist() == ts[a:b]
+            assert list(piece_ns) == ns[a:b]
+            assert list(piece_ts) == ts[a:b]
 
     def test_chunk_keeps_no_t_column(self):
         chunk = _classify(1, 1000)
@@ -312,15 +313,17 @@ class TestWideTier:
         blocks = list(stream_scan(lo, hi, fmt, chunk_size=chunk))
         got = b"".join(b.payload for b in blocks)
         assert got == header + _format_exact(_ref_rows(ref, lo, hi), fmt)
-        # the last one-word chunk hands the formatter uint64 columns, the
-        # first limb chunk lists
+        # the last one-word chunk and the first limb chunk hand the
+        # formatter the same column shape: a range and its t_n
         edge = next(i for i, b in enumerate(blocks) if b.chunk.hi == FAST_INDEX_LIMIT)
         last_word, first_limb = blocks[edge].chunk, blocks[edge + 1].chunk
         ns, ts, _, _ = last_word.columns(0, last_word.vts.size)
-        assert ns.dtype == ts.dtype == np.uint64
-        assert int(ts[-1]) == triangular(FAST_INDEX_LIMIT)
+        assert isinstance(ns, range) and ns[-1] == FAST_INDEX_LIMIT
+        assert list(ts)[-1] == triangular(FAST_INDEX_LIMIT)
         ns, ts, _, _ = first_limb.columns(0, first_limb.vts.size)
-        assert isinstance(ns, list) and isinstance(ts, list)
+        assert isinstance(ns, range) and ns[0] == FAST_INDEX_LIMIT + 1
+        assert type(ts) is type(last_word.columns(0, 1)[1])
+        assert list(ts)[0] == triangular(FAST_INDEX_LIMIT + 1)
 
     def test_scan_across_fast_limit_in_tiny_chunks(self, ref):
         lo, hi = FAST_INDEX_LIMIT - 300, FAST_INDEX_LIMIT + 300
@@ -1114,7 +1117,6 @@ class TestWordFormatter:
             np.array(vts, dtype=bool),
         )
         got = format_block(arrays, fmt)
-        assert isinstance(got, bytearray)  # the numpy path ran
         assert got == format_block((ns, ts, pcs, vts), fmt) == _format_exact(
             (ns, ts, pcs, vts), fmt
         )
@@ -1130,10 +1132,10 @@ class TestWordFormatter:
             (([7], [28], [100], [False]), False),
             (([-1], [0], [0], [False]), False),
             (([], [], [], []), False),
-            # uint64 n and t with unsigned pc below 100 take the numpy path
-            ((_u64([2**64 - 1]), _u64([2**64 - 1]), _u8([64]), np.array([False])), True),
-            ((_u64([1, 6]), _u64([1, 21]), _u8([1, 3]), [True, True]), True),
-            ((_u64([]), _u64([]), _u8([]), np.array([], dtype=bool)), True),
+            # uint64 n and t with unsigned pc below 100 take the f-string path
+            ((_u64([2**64 - 1]), _u64([2**64 - 1]), _u8([64]), np.array([False])), False),
+            ((_u64([1, 6]), _u64([1, 21]), _u8([1, 3]), [True, True]), False),
+            ((_u64([]), _u64([]), _u8([]), np.array([], dtype=bool)), False),
             # any other type or popcount does not
             ((_u64([7]), _u64([28]), _u8([100]), np.array([False])), False),
             ((_u64([7]), _u64([28]), np.array([-200], dtype=np.int64), np.array([False])), False),
@@ -1183,6 +1185,89 @@ class TestWordFormatter:
         hi = lo + 2 * _FORMAT_BLOCK + 5
         got = b"".join(b.payload for b in stream_scan(lo, hi, fmt))
         assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+
+def _kernel_bytes(lo, hi, fmt, chunk=1 << 20):
+    """[lo, hi] through the chunk formatter, one format_block call per chunk."""
+    pieces = [
+        format_block(c.columns(0, c.vts.size), fmt)
+        for c in itertools.starmap(_classify, _chunk_bounds(lo, hi, chunk))
+    ]
+    assert all(isinstance(p, bytearray) for p in pieces)  # the kernel ran
+    return b"".join(pieces)
+
+
+# where n gains a base-10^4 group; where t does, up to 10^40, and where it
+# reaches 10^19 and 10^20; the tier limit and the word edges on both sides
+_N_GROUP_EDGES = [10**k for k in (4, 8, 12, 16, 20)]
+_T_GROUP_EDGES = [_first_index_reaching(10**k) for k in (*range(4, 41, 4), 19, 20)]
+_TIER_EDGES = [2**32, FAST_INDEX_LIMIT, FAST_INDEX_LIMIT + 1, 2**64]
+
+
+class TestChunkFormatter:
+    """The chunk formatter at every tier against the f-string oracle, byte for byte."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        bits=st.integers(min_value=1, max_value=320),
+        seed=st.integers(min_value=0),
+        width=st.integers(min_value=0, max_value=80),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+    )
+    def test_random_sizes_match_exact(self, ref, bits, seed, width, fmt):
+        lo = 2 ** (bits - 1) + seed % 2 ** (bits - 1)  # exactly `bits` bits
+        got = _kernel_bytes(lo, lo + width, fmt)
+        assert got == _format_exact(_ref_rows(ref, lo, lo + width), fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("edge", [*_N_GROUP_EDGES, *_T_GROUP_EDGES, *_TIER_EDGES])
+    def test_windows_across_edges(self, ref, edge, fmt):
+        lo, hi = max(1, edge - 40), edge + 40
+        assert _kernel_bytes(lo, hi, fmt) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+    @pytest.mark.parametrize("edge", [10**8, 10**20, _first_index_reaching(10**40)])
+    def test_edge_in_a_later_pass(self, ref, edge):
+        # the step falls two rows into the second pass of one call
+        lo, hi = edge - _FORMAT_BLOCK - 2, edge + 2
+        got = _kernel_bytes(lo, hi, "jsonl")
+        assert got == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_popcounts_of_100_and_more(self, ref, fmt):
+        lo = 0xB7E151628AED2A6ABF7158809CF4F3C762E7160F  # 160 bits
+        hi = lo + 300
+        rows = _ref_rows(ref, lo, hi)
+        assert min(rows[2]) >= 100
+        assert _kernel_bytes(lo, hi, fmt) == _format_exact(rows, fmt)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        lo=st.one_of(
+            st.sampled_from([*_N_GROUP_EDGES, *_T_GROUP_EDGES, *_TIER_EDGES]).map(
+                lambda edge: edge - 1
+            ),
+            st.integers(min_value=1, max_value=2**200),
+        ),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+    )
+    def test_one_row_pieces(self, ref, lo, fmt):
+        hi = lo + 2
+        assert _kernel_bytes(lo, hi, fmt, chunk=1) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+    def test_csv_resumed_past_10_20(self, ref, tmp_path):
+        lo, hi = 10**20 - 150, 10**20 + 150
+        path = tmp_path / "cp.json"
+        blocks = stream_scan(lo, hi, "csv", chunk_size=37)
+        head = b""
+        for block in blocks:
+            head += block.payload
+            if block.checkpoint.next > 10**20:
+                checkpoint_save(block.checkpoint, path)
+                break
+        state = checkpoint_resume(path)
+        assert lo < 10**20 < state.next <= hi
+        tail = b"".join(b.payload for b in stream_scan(lo, hi, "csv", chunk_size=37, resume=state))
+        assert head + tail == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
 
 
 # n gains a digit inside the one-word tier; t crosses 2^64 at the tier
