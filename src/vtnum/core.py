@@ -39,6 +39,17 @@ class ParameterError(ValueError):
     """An argument fell outside an operation's stated domain."""
 
 
+def _brief(value: int) -> str:
+    """An integer for an error message: in decimal up to 128 bits, else by bit length.
+
+    A bad argument may be thousands of digits long, past what a one-line
+    message can hold or the interpreter's digit limit allows.
+    """
+    if value.bit_length() <= 128:
+        return str(value)
+    return f"<{value.bit_length()}-bit integer>"
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParameterError(message)
@@ -46,19 +57,22 @@ def _require(condition: bool, message: str) -> None:
 
 def triangular(n: int) -> int:
     """Return the n-th triangular number n(n+1)/2.  Indexes start at 1."""
-    _require(n >= 1, f"triangular index must be >= 1, got {n}")
+    if n < 1:
+        raise ParameterError(f"triangular index must be >= 1, got {_brief(n)}")
     return n * (n + 1) // 2
 
 
 def popcount(x: int) -> int:
     """Number of 1 bits in the binary representation of x."""
-    _require(x >= 0, f"popcount needs a non-negative integer, got {x}")
+    if x < 0:
+        raise ParameterError(f"popcount needs a non-negative integer, got {_brief(x)}")
     return x.bit_count()
 
 
 def integer_sqrt(x: int) -> int:
     """Floor of the square root of x, exact for integers of any size."""
-    _require(x >= 0, f"integer_sqrt needs a non-negative integer, got {x}")
+    if x < 0:
+        raise ParameterError(f"integer_sqrt needs a non-negative integer, got {_brief(x)}")
     return math.isqrt(x)
 
 
@@ -69,7 +83,8 @@ def is_triangular(x: int) -> int | None:
     square.  The candidate index is always verified by recomputing
     n(n+1)/2, and 0 is rejected because indexes start at 1.
     """
-    _require(x >= 0, f"is_triangular needs a non-negative integer, got {x}")
+    if x < 0:
+        raise ParameterError(f"is_triangular needs a non-negative integer, got {_brief(x)}")
     if x == 0:
         return None
     s = math.isqrt(8 * x + 1)
@@ -102,5 +117,6 @@ def popcount_of_triangular(n: int) -> int:
 
 def binary_string(x: int) -> str:
     """Binary digits of x, most significant first; "0" for zero."""
-    _require(x >= 0, f"binary_string needs a non-negative integer, got {x}")
+    if x < 0:
+        raise ParameterError(f"binary_string needs a non-negative integer, got {_brief(x)}")
     return format(x, "b")

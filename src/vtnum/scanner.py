@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ParameterError, is_triangular, popcount_of_triangular, triangular
+from .core import ParameterError, _brief, is_triangular, popcount_of_triangular, triangular
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -220,17 +220,6 @@ def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) 
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _brief(value: int) -> str:
-    """An integer for an error message: in decimal up to 128 bits, else by bit length.
-
-    A checkpoint field may be thousands of digits long, past what a
-    one-line message can hold or the interpreter's digit limit allows.
-    """
-    if value.bit_length() <= 128:
-        return str(value)
-    return f"<{value.bit_length()}-bit integer>"
 
 
 def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
@@ -514,8 +503,8 @@ def _trailing_true(v: np.ndarray) -> int:
         window *= 16
 
 
-def _long_runs(seg: np.ndarray, min_len: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each run of at least min_len Trues in seg.
+def _long_runs(seg: np.ndarray, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop offsets of each run of at least min_len Trues in seg.
 
     seg must begin and end with False, so every run in it is maximal.
     Shifted ANDs first narrow the mask to the positions that open
@@ -528,19 +517,55 @@ def _long_runs(seg: np.ndarray, min_len: int) -> Iterator[tuple[int, int]]:
         opens = opens[:-step] & opens[step:]
         span += step
     edges = np.flatnonzero(opens[1:] != opens[:-1]) + 1
-    return zip(edges[0::2].tolist(), (edges[1::2] + (span - 1)).tolist())
+    return edges[0::2], edges[1::2] + (span - 1)
+
+
+@dataclass(frozen=True)
+class _RunColumns:
+    """Runs as columns over the popcounts ``pcs`` of the indexes lo, lo + 1, ...
+
+    Run k starts at index lo + starts[k] and is lengths[k] long, with
+    popcounts pcs[starts[k] : starts[k] + lengths[k]]; flags[k] is
+    truncated_left + 2 * truncated_right.  Starts rise.
+    """
+
+    lo: int
+    pcs: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    flags: np.ndarray
+
+    def at_least(self, min_len: int) -> _RunColumns:
+        """The runs of length >= min_len."""
+        keep = self.lengths >= min_len
+        return replace(self, starts=self.starts[keep], lengths=self.lengths[keep],
+                       flags=self.flags[keep])
+
+    def runs(self) -> list[Run]:
+        """The runs as :class:`Run` objects, in order."""
+        if not self.starts.size:
+            return []
+        stops = np.cumsum(self.lengths)
+        members = np.repeat(self.starts - (stops - self.lengths), self.lengths)
+        pcs = self.pcs[members + np.arange(stops[-1])].tolist()
+        return [
+            Run(self.lo + s, n, tuple(pcs[e - n : e]), bool(f & 1), bool(f & 2))
+            for s, n, e, f in zip(
+                self.starts.tolist(), self.lengths.tolist(), stops.tolist(), self.flags.tolist()
+            )
+        ]
 
 
 class _RunTracker:
-    """Owns the run open at the scan frontier, and the runs closed behind it.
+    """Owns the run open at the scan frontier, and closes the runs behind it.
 
     ``open_run`` is the (start, length so far) of the run still open
     after the last chunk fed, as checkpoints store it.  With
-    ``min_run_len`` None nothing else is tracked.  Otherwise closed runs
-    are collected: interior runs shorter than min_run_len are dropped
-    without being visited, and runs touching either edge of the
-    reporting range are always kept (flagged as truncated) so adjacent
-    summaries can be merged later.
+    ``min_run_len`` None nothing else is tracked.  Otherwise each chunk
+    fed returns the runs it closes, as :class:`_RunColumns`: interior
+    runs shorter than min_run_len are dropped without being visited, and
+    runs touching either edge of the reporting range are always kept
+    (flagged as truncated) so adjacent summaries can be merged later.
     """
 
     def __init__(
@@ -552,19 +577,20 @@ class _RunTracker:
         self.report_lo = report_lo
         self.min_run_len = min_run_len
         self.open_run = open_run
-        self.open_pcs: list[int] = []
-        self.runs: list[Run] = []
+        self.open_pcs = np.zeros(0, dtype=np.uint8)
         if open_run is not None and min_run_len is not None:
             # rejoin a run left open by a checkpointed scan
             start, length = open_run
-            self.open_pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
+            pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
+            self.open_pcs = np.array(pcs, dtype=np.min_scalar_type(max(pcs, default=0)))
 
-    def _keep(self, start: int, pcs: list[int], truncated_right: bool = False) -> None:
-        truncated_left = start == self.report_lo and self.report_lo > 1
-        if len(pcs) >= self.min_run_len or truncated_left or truncated_right:
-            self.runs.append(Run(start, len(pcs), tuple(pcs), truncated_left, truncated_right))
+    def _left(self, start: int) -> int:
+        """1 if a run starting here is truncated on the left, else 0."""
+        return int(start == self.report_lo and self.report_lo > 1)
 
-    def feed(self, chunk: _Chunk) -> None:
+    def feed(self, chunk: _Chunk) -> _RunColumns | None:
+        """Advance past the chunk; return the runs it closes, or None when
+        runs are not tracked or the whole chunk is VT."""
         m = chunk.vts.size
         tracking = self.min_run_len is not None
         trail = _trailing_true(chunk.vts)
@@ -573,30 +599,36 @@ class _RunTracker:
             start, length = self.open_run or (chunk.lo, 0)
             self.open_run = (start, length + m)
             if tracking:
-                self.open_pcs += chunk.pcs.tolist()
-            return
+                self.open_pcs = np.concatenate((self.open_pcs, chunk.pcs))
+            return None
+        closed = self._close_runs(chunk, m - trail) if tracking else None
         if tracking:
-            self._close_runs(chunk, m - trail)
-            self.open_pcs = chunk.pcs[m - trail :].tolist()
+            self.open_pcs = chunk.pcs[m - trail :].copy()
         self.open_run = (chunk.hi - trail + 1, trail) if trail else None
+        return closed
 
-    def _close_runs(self, chunk: _Chunk, end: int) -> None:
-        """Collect the runs that close inside the chunk, all before ``end``."""
-        pcs = chunk.pcs
+    def _close_runs(self, chunk: _Chunk, end: int) -> _RunColumns:
+        """The runs that close inside the chunk, all before ``end``."""
+        lo, pcs = chunk.lo, chunk.pcs
+        if self.open_run is not None:  # it closes here: its earlier popcounts go first
+            lo, pcs = self.open_run[0], np.concatenate((self.open_pcs, pcs))
         lead = _leading_true(chunk.vts)
-        if self.open_run is not None:
-            self._keep(self.open_run[0], self.open_pcs + pcs[:lead].tolist())
-        elif lead:
-            self._keep(chunk.lo, pcs[:lead].tolist())
         # indexes lead and end - 1 are both non-VT
-        for s, e in _long_runs(chunk.vts[lead:end], self.min_run_len):
-            self._keep(chunk.lo + lead + s, pcs[lead + s : lead + e].tolist())
+        starts, stops = _long_runs(chunk.vts[lead:end], self.min_run_len)
+        head, left = pcs.size - chunk.pcs.size + lead, self._left(lo)  # head: the run at lo
+        starts, lengths, flags = starts + head, stops - starts, np.zeros(starts.size, np.uint8)
+        if head and (head >= self.min_run_len or left):
+            starts, lengths = np.append(0, starts), np.append(head, lengths)
+            flags = np.append(np.uint8(left), flags)
+        return _RunColumns(lo, pcs, starts, lengths, flags)
 
-    def finish(self) -> tuple[Run, ...]:
-        if self.open_run is not None and self.min_run_len is not None:
-            # the run reaches the range end: maximality unproven there
-            self._keep(self.open_run[0], self.open_pcs, truncated_right=True)
-        return tuple(self.runs)
+    def finish(self) -> _RunColumns | None:
+        """The run open at the range end, when runs are tracked: maximality unproven there."""
+        if self.open_run is None or self.min_run_len is None:
+            return None
+        start, length = self.open_run
+        flags = np.array([self._left(start) + 2], dtype=np.uint8)
+        return _RunColumns(start, self.open_pcs, np.zeros(1, np.intp), np.array([length]), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +642,13 @@ def _start_state(lo: int, hi: int, fmt: str | None) -> ScanCheckpoint:
 
 def _drive(
     state: ScanCheckpoint, tracker: _RunTracker, *, chunk_size: int
-) -> Iterator[tuple[_Chunk, ScanCheckpoint]]:
+) -> Iterator[tuple[_Chunk, _RunColumns | None, ScanCheckpoint]]:
     """Classify [state.next, state.hi] chunk by chunk, in ascending order.
 
     Each chunk is classified on the calling thread when the consumer
-    asks for it, and yielded with the checkpoint valid after it; the
-    checkpoint keeps ``state.fmt``.  Formatting, if any, is the
+    asks for it, and yielded with the runs it closes (what
+    :meth:`_RunTracker.feed` returns) and the checkpoint valid after it;
+    the checkpoint keeps ``state.fmt``.  Formatting, if any, is the
     consumer's, one piece at a time.  ``tracker`` sees every chunk and
     supplies the checkpoint's open run.
     """
@@ -623,8 +656,8 @@ def _drive(
     bounds = _chunk_bounds(state.next, state.hi, chunk_size)
     for chunk in itertools.starmap(_classify, bounds):
         vt_total += chunk.vt_count
-        tracker.feed(chunk)
-        yield chunk, ScanCheckpoint(
+        closed = tracker.feed(chunk)
+        yield chunk, closed, ScanCheckpoint(
             format_version=CHECKPOINT_VERSION,
             lo=state.lo,
             hi=state.hi,
@@ -634,7 +667,7 @@ def _drive(
             current_t=chunk.hi * (chunk.hi + 1) // 2,
             fmt=state.fmt,
         )
-        del chunk  # release it before the next chunk is classified
+        del chunk, closed  # release them before the next chunk is classified
 
 
 def scan(
@@ -697,22 +730,26 @@ def resume_scan(
     started = time.monotonic()
     tracker = _RunTracker(checkpoint.lo, min_run_len, checkpoint.open_run)
     vt_total = checkpoint.vt_count
+    runs: list[Run] = []
     start = replace(checkpoint, fmt=None)  # its checkpoints continue no byte stream
-    for chunk, state in _drive(start, tracker, chunk_size=chunk_size):
+    for chunk, closed, state in _drive(start, tracker, chunk_size=chunk_size):
         if emit is not None:
             for record in chunk.iter_records():
                 emit(record)
+        if closed is not None:
+            runs += closed.runs()
         if checkpoint_path is not None:
             checkpoint_save(state, checkpoint_path)
         vt_total = state.vt_count
     # a finished checkpoint has nothing left to report
-    runs = tracker.finish() if checkpoint.next <= checkpoint.hi else ()
+    if checkpoint.next <= checkpoint.hi and (last := tracker.finish()) is not None:
+        runs += last.runs()
     return ScanSummary(
         lo=checkpoint.lo,
         hi=checkpoint.hi,
         scanned=checkpoint.hi - checkpoint.lo + 1,
         vt_count=vt_total,
-        runs_found=runs,
+        runs_found=tuple(runs),
         elapsed=time.monotonic() - started,
     )
 
@@ -771,6 +808,26 @@ def merge_summaries(a: ScanSummary, b: ScanSummary, *, min_run_len: int = 1) -> 
     )
 
 
+def _run_stream(lo: int, hi: int, min_len: int, *, threads: int = 1) -> Iterator[_RunColumns]:
+    """The runs of :func:`find_runs` as columns, one batch per chunk.
+
+    Each batch is yielded before the next chunk is classified, so a
+    consumer that formats and writes it first holds one chunk's runs,
+    whatever the range length.
+    """
+    if min_len < 1:
+        raise ParameterError(f"min_len must be >= 1, got {min_len}")
+    _require_range(lo, hi)
+    _require_threads(threads)
+    tracker = _RunTracker(lo, min_len)
+    for _, closed, _ in _drive(_start_state(lo, hi, None), tracker, chunk_size=DEFAULT_CHUNK):
+        if closed is not None:
+            yield closed.at_least(min_len)
+        del closed  # release it before the next chunk is classified
+    if (last := tracker.finish()) is not None:
+        yield last.at_least(min_len)
+
+
 def find_runs(lo: int, hi: int, min_len: int, *, threads: int = 1) -> list[Run]:
     """All maximal runs of length >= min_len inside [lo, hi].
 
@@ -778,10 +835,7 @@ def find_runs(lo: int, hi: int, min_len: int, *, threads: int = 1) -> list[Run]:
     corresponding truncation flag set, since their full extent may
     continue outside the range.
     """
-    if min_len < 1:
-        raise ParameterError(f"min_len must be >= 1, got {min_len}")
-    summary = scan(lo, hi, min_run_len=min_len, threads=threads)
-    return [r for r in summary.runs_found if r.length >= min_len]
+    return [run for runs in _run_stream(lo, hi, min_len, threads=threads) for run in runs.runs()]
 
 
 def find_twins(lo: int, hi: int, *, threads: int = 1) -> list[Run]:
@@ -834,23 +888,34 @@ _LINES: dict[str, Callable[[object, object, int, bool], str]] = {
 _FORMAT_BLOCK = _LIMB_BLOCK  # rows per pass of the kernel: its columns stay below 2^32
 _E4 = 10**4
 # entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32
-_DIGIT_GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(_E4)), dtype=np.uint32)
+_DIGIT_GROUPS = (
+    (np.arange(_E4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48)
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+
+
+def _words(text: str) -> np.ndarray:
+    """ASCII text as NUL padded uint32 words."""
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, "\0").encode("ascii"), np.uint32)
+
+
+def _word_table(texts: list[str]) -> np.ndarray:
+    """One row of NUL padded uint32 words per text, all rows as wide as the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    return _words("".join(text.ljust(width, "\0") for text in texts)).reshape(len(texts), -1)
 
 
 @functools.lru_cache(maxsize=128)
 def _layout(fmt: str, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A format's line cut around n and t, in NUL padded uint32 words: before n,
     between n and t, and a table whose entry [pc, vt] holds the rest, for pc <= bits."""
-
-    def words(text: str) -> np.ndarray:
-        return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, "\0").encode("ascii"), np.uint32)
-
     line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
     tails = [line("", "\2", pc, vt).partition("\2")[2] for pc in range(bits + 1) for vt in (0, 1)]
-    width = -(-max(map(len, tails)) // 4) * 4
-    table = words("".join(tail.ljust(width, "\0") for tail in tails))
-    return words(lead), words(rest.partition("\2")[0]), table.reshape(bits + 1, 2, -1)
+    table = _word_table(tails).reshape(bits + 1, 2, -1)
+    return _words(lead), _words(rest.partition("\2")[0]), table
 
 
 def _groups(x: int, count: int) -> list[int]:
@@ -936,6 +1001,74 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
         else:
             out = piece
     return out
+
+
+# A run's jsonl line, as `vt runs` prints it, is
+#   {"start":S,"length":L,"popcounts":[P1,...,PL],"truncated_left":B,"truncated_right":B}
+# cut into the words before S, those between S and P1, and a table entry per popcount.
+_RUN_LEAD = _words('{"start":')
+_BOOLS = ("false", "true")
+
+
+@functools.lru_cache(maxsize=128)
+def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """A run line's popcount words, for pc <= bits: entry [pc] of the first
+    table holds "pc,", and entry [pc, flags] of the second the line's end
+    from its last popcount on."""
+    heads = [f"{pc}," for pc in range(bits + 1)]
+    tails = [
+        f'{pc}],"truncated_left":{_BOOLS[flags & 1]},"truncated_right":{_BOOLS[flags >> 1]}}}\n'
+        for pc in range(bits + 1)
+        for flags in range(4)
+    ]
+    return _word_table(heads), _word_table(tails).reshape(bits + 1, 4, -1)
+
+
+def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
+    """The jsonl lines of runs, one pass of at most _FORMAT_BLOCK runs at a time.
+
+    As in :func:`_format_range`, a pass fills a matrix with one NUL padded
+    row of uint32 words per run, then deletes its NUL bytes.  The start
+    lo + starts[k] goes in by :func:`_put_groups`, the offsets rising as
+    n does there.  The rest of a row depends on the run's length, so the
+    runs of one length are laid out together: the words naming the
+    length, a table entry per popcount but the last, and one for the
+    last that ends the line with the truncation flags.
+    """
+    heads, tails = _run_tables(triangular(runs.lo + runs.pcs.size - 1).bit_length())
+    for p in range(0, runs.starts.size, _FORMAT_BLOCK):
+        starts = runs.starts[p : p + _FORMAT_BLOCK]
+        lengths, flags = runs.lengths[p : p + starts.size], runs.flags[p : p + starts.size]
+        top = int(starts[-1])
+        s_runs = _digit_runs(
+            runs.lo + int(starts[0]),
+            starts.size,
+            lambda k: int(np.searchsorted(starts, min(max(10**k - runs.lo, 0), top + 1))),
+        )
+        s_at = _RUN_LEAD.size
+        m_at = s_at + -(-s_runs[-1][2] // 4)  # past the start's digit groups
+        counts = np.bincount(lengths)
+        mids = {size: _words(f',"length":{size},"popcounts":[')
+                for size in np.flatnonzero(counts).tolist()}
+        width = m_at + max(mid.size + (size - 1) * heads.shape[1] + tails.shape[2]
+                           for size, mid in mids.items())
+        buf = bytearray(4 * starts.size * width)
+        rows = np.frombuffer(buf, np.uint32).reshape(starts.size, width)
+        rows[:, :s_at] = _RUN_LEAD
+        field = rows[:, s_at:m_at]
+        _put_groups(field, runs.lo, 0, starts.astype(np.uint32))
+        field[...] = _DIGIT_GROUPS[field]
+        for start, stop, digits in s_runs:
+            rows.view(np.uint8)[start:stop, 4 * s_at : 4 * m_at - digits] = 0
+        for size, mid in mids.items():
+            at = np.flatnonzero(lengths == size) if counts[size] < starts.size else slice(None)
+            pcs = runs.pcs[starts[at, None] + np.arange(size)]
+            h_at = m_at + mid.size
+            t_at = h_at + (size - 1) * heads.shape[1]
+            rows[at, m_at:h_at] = mid
+            rows[at, h_at:t_at] = heads[pcs[:, :-1]].reshape(pcs.shape[0], -1)
+            rows[at, t_at : t_at + tails.shape[2]] = tails[pcs[:, -1], flags[at]]
+        yield buf.translate(None, b"\0")
 
 
 def _format_exact(columns: tuple, fmt: str) -> bytes:
@@ -1042,7 +1175,7 @@ def stream_scan(
         state = resume
         header = b""  # the interrupted stream already wrote it
     tracker = _RunTracker(lo, None, state.open_run)
-    for chunk, checkpoint in _drive(state, tracker, chunk_size=chunk_size):
+    for chunk, _, checkpoint in _drive(state, tracker, chunk_size=chunk_size):
         yield StreamBlock(checkpoint, header, chunk)
         header = b""
         del chunk  # release it before the next chunk is classified

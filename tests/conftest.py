@@ -6,7 +6,9 @@ counting, and triangularity from additive enumeration.  A bug in the
 fast kernels then shows up as a disagreement instead of being mirrored
 by the reference.
 """
+import json
 import math
+import sys
 from itertools import combinations
 
 import pytest
@@ -60,6 +62,33 @@ def ref_runs(lo, hi, min_len):
     return runs
 
 
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def ref_run_line(start, popcounts, truncated_left, truncated_right):
+    """One run as `vt runs` prints it: a compact JSON object and a newline."""
+    return _JSON.encode({
+        "start": start,
+        "length": len(popcounts),
+        "popcounts": list(popcounts),
+        "truncated_left": truncated_left,
+        "truncated_right": truncated_right,
+    }) + "\n"
+
+
+def ref_run_lines(lo, hi, min_len):
+    """The bytes of `vt runs --from lo --to hi --min-len min_len`.
+
+    A run is truncated on the left when it starts at lo > 1 and on the
+    right when it ends at hi: its neighbor there was not scanned.
+    """
+    lines = []
+    for start, length in ref_runs(lo, hi, min_len):
+        pcs = [ref_popcount(ref_triangular(n)) for n in range(start, start + length)]
+        lines.append(ref_run_line(start, pcs, start == lo and lo > 1, start + length == hi + 1))
+    return "".join(lines).encode("ascii")
+
+
 def ref_low_popcount_triangulars(max_bits):
     """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
 
@@ -84,9 +113,24 @@ class Reference:
     is_vt_index = staticmethod(ref_is_vt_index)
     vt_indexes = staticmethod(ref_vt_indexes)
     runs = staticmethod(ref_runs)
+    run_line = staticmethod(ref_run_line)
+    run_lines = staticmethod(ref_run_lines)
     low_popcount_triangulars = staticmethod(ref_low_popcount_triangulars)
 
 
 @pytest.fixture(scope="session")
 def ref():
     return Reference
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Hold the interpreter's default int <-> str digit limit for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

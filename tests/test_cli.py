@@ -10,6 +10,7 @@ import pytest
 
 from vtnum import (
     CHECKPOINT_VERSION,
+    FAST_INDEX_LIMIT,
     ScanCheckpoint,
     VtRecord,
     checkpoint_save,
@@ -364,6 +365,41 @@ class TestRunsAndTwins:
         code, out, _ = run_cli(["twins", "--from", "8", "--to", "18"], capsysbinary)
         assert code == 0
         assert out == b""
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (1, 40000),
+            (582, 1000),  # a run of 3 truncated on the left to 2
+            (1, 582),  # ... and on the right
+            (6, 7),
+            (30302, 30305),
+            (2**32 - 1500, 2**32 + 1500),
+            (FAST_INDEX_LIMIT - 1500, FAST_INDEX_LIMIT + 1500),
+            (2**64 - 1500, 2**64 + 1500),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["runs 1", "runs 2", "runs 6", "runs", "twins"])
+    def test_bytes_match_the_json_oracle(self, ref, capsysbinary, lo, hi, verb):
+        name, *min_len = verb.split()
+        argv = [name, "--from", str(lo), "--to", str(hi)]
+        code, out, err = run_cli(argv + [f"--min-len={m}" for m in min_len], capsysbinary)
+        assert (code, err) == (0, "")
+        assert out == ref.run_lines(lo, hi, int(min_len[0]) if min_len else 2)
+
+    def test_twins_peak_memory_does_not_grow_with_the_range(self, monkeypatch):
+        # the runs are formatted and written chunk by chunk, never all held:
+        # about 8 MiB at either length, where a list of every run took 20
+        # and 33 MiB
+        lo = 2**31 + 12345
+        peaks = []
+        for length, twins in ((2**22, 69707), (2**23, 136321)):
+            argv = ["twins", "--from", str(lo), "--to", str(lo + length - 1)]
+            code, lines, peak = traced_main(monkeypatch, argv)
+            assert (code, lines) == (0, twins)
+            peaks.append(peak)
+        assert max(peaks) < 12 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 class TestSigma:

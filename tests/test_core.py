@@ -4,7 +4,10 @@ from hypothesis import given, strategies as st
 
 from vtnum import (
     ParameterError,
+    VtRecord,
     binary_string,
+    classify_index,
+    count_vt,
     integer_sqrt,
     is_triangular,
     is_very_triangular_index,
@@ -176,6 +179,41 @@ class TestBinaryString:
         s = binary_string(x)
         assert int(s, 2) == x
         assert s.count("1") == popcount(x)
+
+
+class TestArgumentsPastTheDigitLimit:
+    """A valid argument is never turned into decimal, so its size is not limited."""
+
+    def test_valid_arguments(self, ref, default_int_digit_limit):
+        n = 10**4400
+        t = ref.triangular(n)
+        assert triangular(n) == t
+        assert classify_index(n) == VtRecord(n, t, ref.popcount(t), ref.is_vt_index(n))
+        assert count_vt(n, n + 3) == sum(ref.is_vt_index(i) for i in range(n, n + 4))
+
+    @pytest.mark.parametrize(
+        "function,name",
+        [
+            (popcount, "popcount"),
+            (integer_sqrt, "integer_sqrt"),
+            (is_triangular, "is_triangular"),
+            (binary_string, "binary_string"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, function, name, default_int_digit_limit):
+        with pytest.raises(ParameterError) as small:
+            function(-7)
+        assert str(small.value) == f"{name} needs a non-negative integer, got -7"
+        with pytest.raises(ParameterError) as huge:
+            function(-(10**4400))
+        assert str(huge.value).endswith(f"got <{(10**4400).bit_length()}-bit integer>")
+
+    def test_bad_index_is_named(self, default_int_digit_limit):
+        with pytest.raises(ParameterError, match=r"^triangular index must be >= 1, got 0$"):
+            triangular(0)
+        with pytest.raises(ParameterError) as huge:
+            triangular(-(10**4400))
+        assert str(huge.value).endswith(f"got <{(10**4400).bit_length()}-bit integer>")
 
 
 class TestPackageNames:

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -41,15 +40,22 @@ from vtnum import (
     twin_pair,
     vt_flags,
 )
+from vtnum import scanner
 from vtnum.scanner import (
     _CSV_HEADER,
+    _DIGIT_GROUPS,
     _FORMAT_BLOCK,
     _LIMB_BLOCK,
+    _RunColumns,
+    _RunTracker,
     _chunk_bounds,
     _classify,
+    _drive,
     _format_exact,
+    _format_runs,
     _leading_true,
     _long_runs,
+    _run_stream,
     _trailing_true,
 )
 
@@ -566,7 +572,8 @@ class TestRunTrackerOracle:
             for s, n in _ref_mask_runs(bits)
             if n >= min_len
         ]
-        assert list(_long_runs(seg, min_len)) == want
+        starts, stops = _long_runs(seg, min_len)
+        assert list(zip(starts.tolist(), stops.tolist())) == want
 
 
     @settings(deadline=None, max_examples=60)
@@ -634,6 +641,129 @@ class TestTwins:
 
     def test_empty_window(self):
         assert find_twins(8, 18) == []
+
+
+def _stream_lines(lo, hi, min_len):
+    """The run kernel's bytes over the run stream of [lo, hi], as `vt runs` writes them."""
+    return b"".join(piece for runs in _run_stream(lo, hi, min_len) for piece in _format_runs(runs))
+
+
+def _column_lines(ref, runs):
+    """The JSON oracle's lines for the runs in a _RunColumns."""
+    return "".join(
+        ref.run_line(runs.lo + s, runs.pcs[s : s + n].tolist(), bool(f & 1), bool(f & 2))
+        for s, n, f in zip(runs.starts.tolist(), runs.lengths.tolist(), runs.flags.tolist())
+    ).encode("ascii")
+
+
+class TestRunStream:
+    """The run columns and the kernel that formats them, against the JSON oracle."""
+
+    @pytest.mark.parametrize(
+        "lo,hi,chunk",
+        [
+            (1, 40000, 1 << 20),
+            (2, 3000, 7),
+            (1, 600, 1),
+            (582, 1000, 3),  # a run of 3 cut to its last 2 on the left
+            (1, 582, 5),  # ... and to its first 2 on the right
+            (30302, 30305, 1 << 20),  # inside the run of 6: truncated on both sides
+            (30296, 30310, 2),
+            (6, 7, 1),
+            (1, 7, 1 << 20),  # a run at index 1 is complete on the left
+            (7, 7, 1),
+            (2**32 - 600, 2**32 + 600, 7),
+            (FAST_INDEX_LIMIT - 600, FAST_INDEX_LIMIT + 600, 7),
+            (FAST_INDEX_LIMIT - 3000, FAST_INDEX_LIMIT + 3000, 1 << 20),
+            (2**64 - 600, 2**64 + 600, 5),
+            (2**128 - 300, 2**128 + 400, 11),  # popcounts widen from uint8 to uint16
+        ],
+    )
+    @pytest.mark.parametrize("min_len", [1, 2, 6])
+    def test_matches_the_json_oracle(self, ref, monkeypatch, lo, hi, chunk, min_len):
+        monkeypatch.setattr(scanner, "DEFAULT_CHUNK", chunk)
+        want = ref.run_lines(lo, hi, min_len)
+        assert _stream_lines(lo, hi, min_len) == want
+        got = [ref.run_line(r.start, r.popcounts, r.truncated_left, r.truncated_right)
+               for r in find_runs(lo, hi, min_len)]
+        assert "".join(got).encode("ascii") == want
+
+    @pytest.mark.parametrize("min_len", [1, 2])
+    def test_popcounts_of_100_and_more(self, ref, min_len):
+        lo = 0xB7E151628AED2A6ABF7158809CF4F3C762E7160F  # 160 bits
+        want = ref.run_lines(lo, lo + 1200, min_len)
+        assert b'"popcounts":[153,153]' in want
+        assert _stream_lines(lo, lo + 1200, min_len) == want
+
+    @pytest.mark.parametrize(
+        "lo,hi,chunk",
+        [(1, 400, 5), (30290, 30400, 1), (30290, 30400, 4), (2**64 - 400, 2**64 + 400, 3)],
+    )
+    @pytest.mark.parametrize("min_len", [1, 2, 6])
+    def test_run_rejoined_on_resume(self, ref, lo, hi, chunk, min_len):
+        lines = ref.run_lines(lo, hi, min_len).splitlines(keepends=True)
+        blocks = list(stream_scan(lo, hi, chunk_size=chunk))[:-1]
+        states = [b.checkpoint for b in blocks if b.checkpoint.open_run is not None]
+        assert states
+        for state in states:
+            tracker = _RunTracker(lo, min_len, state.open_run)
+            batches = [runs for _, runs, _ in _drive(state, tracker, chunk_size=chunk)]
+            batches.append(tracker.finish())
+            got = b"".join(
+                b"".join(_format_runs(runs.at_least(min_len))) for runs in batches if runs is not None
+            )
+            # the runs that close at or past the frontier, the one open there rejoined whole
+            want = [line for line in lines
+                    if sum(json.loads(line)[k] for k in ("start", "length")) >= state.next]
+            assert got == b"".join(want)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lo=st.one_of(
+            st.integers(min_value=1, max_value=2**1100),
+            st.integers(min_value=2, max_value=40).map(lambda k: 10**k - 50),
+        ),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30),  # gap before the run
+                st.integers(min_value=1, max_value=12),  # length
+                st.integers(min_value=0, max_value=3),  # truncation flags
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_kernel_on_any_columns(self, ref, lo, runs, seed):
+        # every length mix, start digit count, flag and popcount width (4 digits past 2^1000)
+        gaps, lengths, flags = (np.array(c) for c in zip(*runs))
+        starts = np.cumsum(gaps + np.append(0, lengths[:-1]))
+        size = int(starts[-1] + lengths[-1])
+        bits = triangular(lo + size - 1).bit_length()
+        pcs = np.random.default_rng(seed).integers(0, bits + 1, size)
+        columns = _RunColumns(lo, pcs, starts, lengths, flags.astype(np.uint8))
+        assert b"".join(_format_runs(columns)) == _column_lines(ref, columns)
+
+    def test_kernel_across_passes(self, ref):
+        count = _FORMAT_BLOCK + 300
+        lengths = np.tile([2, 3, 2, 1, 7], count // 5 + 1)[:count]
+        starts = np.cumsum(np.append(0, lengths[:-1] + 1))
+        lo = 10**9 - int(starts[_FORMAT_BLOCK + 100])  # a digit step in the second pass
+        size = int(starts[-1] + lengths[-1])
+        bits = triangular(lo + size - 1).bit_length()
+        pcs = np.random.default_rng(7).integers(0, bits + 1, size)
+        flags = np.zeros(count, np.uint8)
+        flags[0], flags[-1] = 1, 2
+        columns = _RunColumns(lo, pcs, starts, lengths, flags)
+        pieces = list(_format_runs(columns))
+        assert len(pieces) == 2
+        assert b"".join(pieces) == _column_lines(ref, columns)
+
+
+def test_digit_groups_are_the_percent_format():
+    want = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), dtype=np.uint32)
+    assert _DIGIT_GROUPS.dtype == want.dtype
+    assert _DIGIT_GROUPS.tobytes() == want.tobytes()
 
 
 class TestMergeSummaries:
@@ -711,19 +841,6 @@ class TestCountAndFlags:
 
 
 _HUGE = 10**4300 - 1  # as many digits as the default int <-> str limit allows
-
-
-@pytest.fixture
-def default_int_digit_limit():
-    """Hold the interpreter's default int <-> str digit limit for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int <-> str digit limit")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 class TestCheckpointFile:
