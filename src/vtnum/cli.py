@@ -17,11 +17,12 @@ Every operation in the package is reachable through one verb:
     ap           arithmetic progressions of very triangular indexes
 
 Results go to stdout, diagnostics to stderr.  Exit status is 0 on
-success, 1 when a sweep finds counterexamples or a verified claim fails
-its check, 2 on usage errors.  Identical argument vectors produce
-identical stdout bytes.  Classification runs on the calling thread:
-``--threads`` and ``VT_THREADS`` are validated (a bad value is a usage
-error) but change nothing.
+success, 1 when a sweep finds counterexamples, a verified claim fails
+its check or stdout refuses the output, 2 on usage errors.  Identical
+argument vectors produce identical stdout bytes.  Classification runs on
+the calling thread: ``--threads`` and ``VT_THREADS`` are validated (a bad
+value is a usage error) but change nothing.  Output is written to stdout
+on one helper thread, while the calling thread makes the next piece.
 
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
@@ -31,11 +32,11 @@ scan indexes and popcounts stay plain numbers.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NoReturn
 
@@ -97,28 +98,124 @@ def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
     return iter([header + format_block(rows, fmt)])
 
 
+class _OutputError(Exception):
+    """stdout refused the command's output (any OSError but a broken pipe)."""
+
+
+def _raise_write_error(error: Exception) -> NoReturn:
+    """Raise what a failed write to stdout means: a BrokenPipeError as
+    itself, any other OSError as an _OutputError."""
+    if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
+        raise _OutputError(f"cannot write output: {error.strerror or error}") from error
+    raise error
+
+
+# handed to the writer thread in place of a piece: flush stdout; end the thread
+_FLUSH, _STOP = object(), object()
+
+
+class _Stdout:
+    """The command's stdout, written by one helper thread.
+
+    :meth:`write` hands a piece to the thread and returns while the
+    thread writes it to ``sys.stdout.buffer``, so the caller makes the
+    next piece meanwhile.  At most one piece waits for the thread: the
+    caller holds the piece it is making, the thread the one it writes.
+    :meth:`sync` returns once every piece handed over is written and
+    flushed.  When a write or flush fails, the thread drops the pieces
+    that follow and the caller's next write or sync raises the error, as
+    :func:`_raise_write_error` does.
+
+    On leaving the ``with`` block normally, every piece is written and
+    flushed and the thread has ended.  On leaving it by an exception,
+    the piece still waiting is dropped and the thread is not waited
+    for: it may be blocked in a write that no reader drains.
+    """
+
+    def __init__(self) -> None:
+        self._out = sys.stdout.buffer
+        self._changed = threading.Condition()
+        self._waiting: object = None  # the next piece, _FLUSH, _STOP, or None
+        self._busy = False  # the thread has taken a piece and not finished it
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._drain, name="vt-stdout", daemon=True)
+
+    def __enter__(self) -> _Stdout:
+        self._thread.start()
+        return self
+
+    def __exit__(self, kind: type | None, *_: object) -> None:
+        try:
+            if kind is None:
+                self.sync()
+        finally:
+            with self._changed:
+                self._waiting = _STOP  # in place of a piece still waiting, if any
+                self._changed.notify_all()
+        if kind is None:
+            self._thread.join()  # idle after the sync: it returns at once
+
+    def write(self, piece: bytes) -> None:
+        """Hand piece to the writer thread once the piece before it is taken."""
+        with self._changed:
+            while self._waiting is not None and self._error is None:
+                self._changed.wait()
+            self._raise_error()
+            self._waiting = piece
+            self._changed.notify_all()
+
+    def sync(self) -> None:
+        """Return once every piece handed over is written and stdout is flushed."""
+        self.write(_FLUSH)
+        with self._changed:
+            while (self._waiting is not None or self._busy) and self._error is None:
+                self._changed.wait()
+            self._raise_error()
+
+    def _raise_error(self) -> None:
+        if self._error is not None:
+            _raise_write_error(self._error)
+
+    def _drain(self) -> None:
+        while True:
+            with self._changed:
+                while self._waiting is None:
+                    self._changed.wait()
+                piece, self._waiting = self._waiting, None
+                if piece is _STOP:
+                    return
+                self._busy = True
+                self._changed.notify_all()
+            try:
+                if self._error is not None:
+                    pass  # an earlier piece failed: drop the rest
+                elif piece is _FLUSH:
+                    self._out.flush()
+                else:
+                    self._out.write(piece)
+            except Exception as exc:  # the caller raises it at its next write or sync
+                self._error = exc
+            with self._changed:
+                self._busy = False
+                self._changed.notify_all()
+
+
 def _write(blocks: Iterable[bytes]) -> None:
-    out = sys.stdout.buffer
-    for block in blocks:
-        out.write(block)
-    out.flush()
+    with _Stdout() as out:
+        for block in blocks:
+            out.write(block)
 
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
-_JSON_BATCH = 1 << 12  # lines joined into one write
 
 
 def _write_json_lines(payloads: Iterable[dict]) -> None:
-    """One compact, ASCII-only JSON object per line, then one flush.
+    """One compact, ASCII-only JSON object per line, all in one write.
 
-    Lines are joined _JSON_BATCH at a time and each batch is one write,
-    so an unbuffered stdout makes one system call per batch, not per line.
+    There is one payload per result, and every verb holds its results in
+    a list already: a result's line takes less memory than its objects.
     """
-    out = sys.stdout.buffer
-    lines = (_JSON.encode(payload) + "\n" for payload in payloads)
-    while batch := "".join(itertools.islice(lines, _JSON_BATCH)):
-        out.write(batch.encode("ascii"))
-    out.flush()
+    _write(["".join(_JSON.encode(payload) + "\n" for payload in payloads).encode("ascii")])
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +247,31 @@ def _checkpoint_file(path: str) -> Iterator[None]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    """Stream the range's records, saving the checkpoint (if any) after each block.
+
+    The writer thread writes each piece while the next is formatted.  The
+    barrier sits before each checkpoint save: out.sync() returns once
+    every piece of the block is written and flushed, so a saved
+    checkpoint never points past a byte that is not out, and none is
+    saved for a block whose bytes failed to write.
+    """
     resume = None
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         with _checkpoint_file(args.checkpoint):
             resume = checkpoint_resume(args.checkpoint)
-    out = sys.stdout.buffer
     last_state = resume
-    for block in stream_scan(
-        args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
-    ):
-        for piece in block.pieces():  # each piece is written before the next is formatted
-            out.write(piece)
-        if args.checkpoint is not None:
-            out.flush()
-            with _checkpoint_file(args.checkpoint):
-                checkpoint_save(block.checkpoint, args.checkpoint)
-        last_state = block.checkpoint
-        del block  # release the chunk before the next one is classified
-    out.flush()
+    with _Stdout() as out:
+        for block in stream_scan(
+            args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
+        ):
+            for piece in block.pieces():
+                out.write(piece)
+            if args.checkpoint is not None:
+                out.sync()
+                with _checkpoint_file(args.checkpoint):
+                    checkpoint_save(block.checkpoint, args.checkpoint)
+            last_state = block.checkpoint
+            del block  # release the chunk before the next one is classified
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         os.remove(args.checkpoint)  # finished: a rerun starts fresh
     vt_total = last_state.vt_count if last_state is not None else 0
@@ -180,11 +284,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _write_runs(lo: int, hi: int, min_len: int, threads: int) -> int:
     """One jsonl line per run of find_runs(lo, hi, min_len), written chunk by chunk."""
-    for runs in _run_stream(lo, hi, min_len, threads=threads):
-        # each piece is released when written; runs is kept while the next
-        # chunk is classified: freed first, the heap is trimmed and faulted
-        # back in every chunk (10k more page faults over 2.5e7 indexes)
-        _write(_format_runs(runs))
+    with _Stdout() as out:
+        for runs in _run_stream(lo, hi, min_len, threads=threads):
+            # runs is kept while the next chunk is classified: freed first,
+            # the heap is trimmed and faulted back in every chunk (10k more
+            # page faults over 2.5e7 indexes)
+            for piece in _format_runs(runs):
+                out.write(piece)
     return 0
 
 
@@ -241,11 +347,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     points = density_series(args.points)
-    out = sys.stdout.buffer
-    out.write(b"N,vt_count,ratio\n")
-    for point in points:
-        out.write(f"{point.N},{point.vt_count},{point.ratio_decimal}\n".encode("ascii"))
-    out.flush()
+    lines = "".join(f"{point.N},{point.vt_count},{point.ratio_decimal}\n" for point in points)
+    _write([b"N,vt_count,ratio\n" + lines.encode("ascii")])
     return 0
 
 
@@ -505,6 +608,12 @@ def dispatch(argv: list[str]) -> int:
         return 1
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so the exit flush of bytes nobody takes succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
 def main() -> None:
     # values are exact at any size: lift the 4300-digit int <-> str limit
     # (t_n reaches it near n = 10^2150) where this Python has one, and put
@@ -514,14 +623,24 @@ def main() -> None:
         sys.set_int_max_str_digits(0)
     try:
         code = dispatch(sys.argv[1:])
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()  # the text argparse printed, if any
+        except OSError as exc:
+            _raise_write_error(exc)
     except BrokenPipeError:
         # the reader went away (e.g. piped into head); not a failure
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _discard_stdout()
         code = 0
+    except _OutputError as exc:
+        print(f"vt: {exc}", file=sys.stderr)
+        _discard_stdout()
+        code = 1
     except KeyboardInterrupt:
-        code = 130
+        # the writer thread may be blocked in a write no reader drains,
+        # holding stdout's lock: the interpreter's exit flush would wait
+        # on it for ever, or abort, so leave without it
+        sys.stderr.flush()
+        os._exit(130)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -1102,8 +1102,11 @@ class StreamBlock:
     Write every piece of :meth:`pieces`, in order, then persist
     ``checkpoint``: a crash between the two re-emits at most this
     block's records (the saved checkpoint still points at its start),
-    never skips any.  Equality compares the checkpoint and header, not
-    the classified chunk.
+    never skips any.  A consumer that writes on another thread, as
+    ``vt scan`` does, must wait until every piece is written and
+    flushed before it persists ``checkpoint``: that barrier is what
+    keeps the guarantee.  Equality compares the checkpoint and header,
+    not the classified chunk.
     """
 
     checkpoint: ScanCheckpoint  # its fmt is the block's format
@@ -1114,8 +1117,9 @@ class StreamBlock:
         """The block's bytes, one :func:`format_block` kernel pass of _FORMAT_BLOCK rows at a time.
 
         The first piece carries the header, if any.  Only the piece being
-        formatted is built, so a consumer that writes each piece before
-        taking the next holds one piece, not the whole chunk's bytes.
+        formatted is built, so a consumer holds the pieces it has taken
+        and not yet written (``vt scan``: at most two, one being written
+        while one waits), not the whole chunk's bytes.
         """
         header = self.header
         size = self.chunk.vts.size
@@ -1147,7 +1151,10 @@ def stream_scan(
     Each block is classified on the calling thread when it is asked
     for, and formatted only when its :meth:`StreamBlock.pieces` or
     ``payload`` is read.  ``threads`` is validated but changes nothing:
-    classification does not run on worker threads.  With
+    classification does not run on worker threads.  Persist a block's
+    checkpoint only once its bytes are written and flushed: a consumer
+    that writes on another thread puts its barrier there (see
+    :class:`StreamBlock`).  With
     ``resume``, emission continues from resume.next and the csv header
     is suppressed (the interrupted stream already wrote it);
     concatenating the two outputs reproduces an uninterrupted run byte

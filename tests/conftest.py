@@ -89,6 +89,20 @@ def ref_run_lines(lo, hi, min_len):
     return "".join(lines).encode("ascii")
 
 
+def ref_record_lines(lo, hi, fmt):
+    """The bytes of `vt scan --emit fmt --from lo --to hi`, the csv header included."""
+    lines = ["n,t,pc,vt\n"] if fmt == "csv" else []
+    for n in range(lo, hi + 1):
+        t = ref_triangular(n)
+        pc = ref_popcount(t)
+        vt = "true" if pc in _SMALL else "false"
+        if fmt == "csv":
+            lines.append(f"{n},{t},{pc},{vt}\n")
+        else:
+            lines.append(f'{{"n":{n},"t":"{t}","pc":{pc},"vt":{vt}}}\n')
+    return "".join(lines).encode("ascii")
+
+
 def ref_low_popcount_triangulars(max_bits):
     """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
 
@@ -115,6 +129,7 @@ class Reference:
     runs = staticmethod(ref_runs)
     run_line = staticmethod(ref_run_line)
     run_lines = staticmethod(ref_run_lines)
+    record_lines = staticmethod(ref_record_lines)
     low_popcount_triangulars = staticmethod(ref_low_popcount_triangulars)
 
 

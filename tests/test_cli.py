@@ -1,11 +1,16 @@
 """Command line surface: verbs, formats, exit codes, determinism."""
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 from vtnum import (
@@ -18,6 +23,7 @@ from vtnum import (
     format_block,
     stream_scan,
 )
+from vtnum import cli
 from vtnum.cli import dispatch, emit, main
 
 
@@ -604,6 +610,8 @@ class TestStdoutInterface:
             ["scan", "--from", "1", "--to", "100"],
             ["family", "even", "--ell", "2", "--n", "4"],
             ["bertrand", "--n", "19"],
+            ["density", "1", "21", "1000"],
+            ["check", "1", "2"],
         ],
     )
     def test_verbs_need_only_write_and_flush(self, argv, capsysbinary, monkeypatch):
@@ -612,6 +620,178 @@ class TestStdoutInterface:
         monkeypatch.setattr(sys, "stdout", out)
         assert dispatch(list(argv)) == 0
         assert bytes(out.data) == want
+
+
+class _FlushedOnly(_WriteFlushOnly):
+    """A stdout whose bytes count as out only once flushed, as with a buffered pipe."""
+
+    def __init__(self):
+        super().__init__()
+        self.pending = bytearray()
+
+    def write(self, data):
+        self.pending += data
+        return len(data)
+
+    def flush(self):
+        self.data += self.pending
+        self.pending.clear()
+
+
+class _FailingWrites(_WriteFlushOnly):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, data):
+        raise self.error
+
+
+def _in_thread(fn, timeout=10):
+    """fn() on a daemon thread: (finished in time, exception raised or None)."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), raised[0] if raised else None
+
+
+class TestOutputThread:
+    """cli._Stdout: pieces written in order by one helper thread, errors raised by the caller."""
+
+    def test_pieces_arrive_in_order_and_sync_waits_for_them(self, monkeypatch):
+        out = _FlushedOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        sent = bytearray()
+
+        def stream():
+            with cli._Stdout() as stdout:
+                for k in range(3000):
+                    piece = b"%d\n" % k
+                    stdout.write(piece)
+                    sent.extend(piece)
+                    if k % 7 == 0:
+                        stdout.sync()
+                        assert out.data == sent and not out.pending
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the lock between the threads often
+        try:
+            finished, raised = _in_thread(stream, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert finished and raised is None
+        assert out.data == sent and not out.pending
+
+    @pytest.mark.parametrize(
+        "error,raised,message",
+        [
+            (OSError(errno.ENOSPC, "No space left on device"), cli._OutputError,
+             "cannot write output: No space left on device"),
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), BrokenPipeError, None),
+            (ValueError("not bytes"), ValueError, "not bytes"),
+        ],
+    )
+    @pytest.mark.parametrize("pieces", [1, 100])
+    def test_a_failed_write_reaches_the_caller(self, monkeypatch, error, raised, message, pieces):
+        # the thread keeps taking pieces after the failure, so the caller
+        # never waits for ever on a hand-off: its next write or sync raises
+        monkeypatch.setattr(sys, "stdout", _FailingWrites(error))
+        finished, exc = _in_thread(lambda: cli._write(b"piece" for _ in range(pieces)))
+        assert finished
+        assert isinstance(exc, raised)
+        if message is not None:
+            assert str(exc) == message
+
+    def test_an_exception_in_the_block_leaves_at_once(self, monkeypatch):
+        # the thread is blocked in a write no reader drains: leaving the
+        # block by an exception must not wait for it
+        release = threading.Event()
+
+        class Stuck(_WriteFlushOnly):
+            def write(self, data):
+                release.wait(30)
+                return len(data)
+
+        monkeypatch.setattr(sys, "stdout", Stuck())
+
+        def interrupted():
+            with cli._Stdout() as stdout:
+                stdout.write(b"first")
+                stdout.write(b"second")  # waits for the thread
+                raise LookupError
+
+        try:
+            finished, exc = _in_thread(interrupted)
+        finally:
+            release.set()
+        assert finished and isinstance(exc, LookupError)
+
+
+def _line_offset(data, lines):
+    """The length of the first `lines` lines of data."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    return int(ends[lines - 1]) + 1 if lines else 0
+
+
+class TestCheckpointBarrier:
+    """A checkpoint is saved only after every byte below its frontier is written and flushed."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_saves_follow_their_bytes(self, ref, tmp_path, monkeypatch, fmt):
+        hi = 2**20 + 5000  # two blocks, two saves
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", "1", "--to", str(hi), "--emit", fmt, "--checkpoint", str(path)]
+        full = ref.record_lines(1, hi, fmt)
+        header = int(fmt == "csv")
+
+        def expected(nxt):  # the oracle bytes of the rows below nxt
+            return full[: _line_offset(full, header + nxt - 1)]
+
+        snapshots = []
+
+        def snapshot_then_save(state, destination):
+            snapshots.append((state.next, bytes(out.data), bytes(out.pending)))
+            checkpoint_save(state, destination)
+
+        monkeypatch.setattr(cli, "checkpoint_save", snapshot_then_save)
+        out = _FlushedOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert dispatch(argv) == 0
+        assert [nxt for nxt, _, _ in snapshots] == [2**20 + 1, hi + 1]
+        for nxt, written, pending in snapshots:
+            assert pending == b""
+            assert written == expected(nxt)
+        assert bytes(out.data) == full
+
+        class Crash(Exception):
+            pass
+
+        def save_then_crash(state, destination):
+            checkpoint_save(state, destination)
+            raise Crash
+
+        monkeypatch.setattr(cli, "checkpoint_save", save_then_crash)
+        out = _FlushedOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(Crash):
+            dispatch(argv)
+        interrupted = bytes(out.data)
+        assert interrupted == expected(2**20 + 1)
+
+        monkeypatch.setattr(cli, "checkpoint_save", checkpoint_save)
+        out = _FlushedOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert dispatch(argv) == 0
+        assert interrupted + bytes(out.data) == full
+        assert not path.exists()
 
 
 class TestApVerb:
@@ -665,6 +845,72 @@ class TestTopLevel:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def _vt_process(argv, buffered, **streams):
+    """`vt argv` as a child with piped stdout and stderr, its stdout buffered or not."""
+    env = dict(os.environ)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.Popen([sys.executable, "-m", "vtnum", *argv], env=env, **streams)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+class TestWriteErrors:
+    """stdout refusing bytes (ENOSPC on /dev/full): one stderr line, exit 1, no checkpoint."""
+
+    def _run_into_full(self, argv, buffered):
+        with open("/dev/full", "wb") as full:
+            proc = _vt_process(argv, buffered, stdout=full)
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return code, err
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--from", "1", "--to", "3000000"],
+            ["scan", "--emit", "csv", "--from", "1", "--to", "3"],
+            ["runs", "--min-len", "1", "--from", "1", "--to", "3000000"],
+            ["twins", "--from", "1", "--to", "3000000"],
+            ["check", "7"],
+        ],
+    )
+    def test_one_line_and_exit_1(self, argv, buffered):
+        code, err = self._run_into_full(argv, buffered)
+        assert code == 1
+        assert err == f"vt: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_text_meets_the_full_device_at_the_last_flush(self):
+        # argparse prints --version as text; a buffered stdout refuses it
+        # only when main flushes (unbuffered, argparse drops the error)
+        code, err = self._run_into_full(["--version"], buffered=True)
+        assert code == 1
+        assert err == f"vt: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_no_checkpoint_for_bytes_not_written(self, tmp_path, buffered):
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", "1", "--to", "3000000", "--checkpoint", str(path)]
+        code, err = self._run_into_full(argv, buffered)
+        assert (code, err.count("\n")) == (1, 1)
+        assert not path.exists()
+        # resumed from the first block's checkpoint: the second block fails,
+        # so the saved checkpoint must still point at its start
+        checkpoint_save(next(iter(stream_scan(1, 3000000))).checkpoint, path)
+        saved = path.read_bytes()
+        code, err = self._run_into_full(argv, buffered)
+        assert (code, err.count("\n")) == (1, 1)
+        assert path.read_bytes() == saved
 
 
 @pytest.fixture
@@ -770,6 +1016,43 @@ class TestSubprocessSurface:
         )
         proc = subprocess.run(["bash", "-c", script], timeout=120)
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--from", str(2**31), "--to", str(2**31 + 2**21 - 1)],
+            ["twins", "--from", str(2**31 + 12345), "--to", str(2**31 + 12345 + 25_000_000 - 1)],
+        ],
+    )
+    def test_reader_closing_early_is_success(self, argv, buffered):
+        proc = _vt_process(argv, buffered)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert len(head) == 100
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_interrupt_while_the_writer_is_blocked(self, buffered):
+        # nobody reads the pipe: the writer thread blocks in write holding
+        # stdout, and the interpreter's exit flush must not wait on it
+        proc = _vt_process(["scan", "--from", "1", "--to", str(2**21)], buffered)
+        try:
+            assert os.read(proc.stdout.fileno(), 1)  # writing has begun
+            time.sleep(0.5)  # the pipe fills
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert code == 130
+        assert b"Fatal Python error" not in err and b"Traceback" not in err
 
     def test_identical_argv_identical_bytes(self):
         argv = [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", "5000"]
