@@ -21,8 +21,9 @@ success, 1 when a sweep finds counterexamples, a verified claim fails
 its check or stdout refuses the output, 2 on usage errors.  Identical
 argument vectors produce identical stdout bytes.  Classification runs on
 the calling thread: ``--threads`` and ``VT_THREADS`` are validated (a bad
-value is a usage error) but change nothing.  Output is written to stdout
-on one helper thread, while the calling thread makes the next piece.
+value is a usage error) but change nothing.  Output that comes in more
+than one piece is written to stdout from the second piece on by one
+helper thread, while the calling thread makes the next piece.
 
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
@@ -110,94 +111,92 @@ def _raise_write_error(error: Exception) -> NoReturn:
     raise error
 
 
-# handed to the writer thread in place of a piece: flush stdout; end the thread
-_FLUSH, _STOP = object(), object()
+# handed to the writer thread in place of a piece: taken once every piece
+# before it is written; end the thread
+_SYNC, _STOP = object(), object()
 
 
 class _Stdout:
     """The command's stdout, written by one helper thread.
 
-    :meth:`write` hands a piece to the thread and returns while the
-    thread writes it to ``sys.stdout.buffer``, so the caller makes the
-    next piece meanwhile.  At most one piece waits for the thread: the
-    caller holds the piece it is making, the thread the one it writes.
-    :meth:`sync` returns once every piece handed over is written and
-    flushed.  When a write or flush fails, the thread drops the pieces
-    that follow and the caller's next write or sync raises the error, as
-    :func:`_raise_write_error` does.
+    :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it.
+    The first piece is written on the calling thread, as nothing is yet
+    made while it is written; the rest are handed to a helper thread,
+    started with the second.  A hand-off returns once the thread takes
+    the piece, that is once the piece before it is written: the caller
+    makes piece k + 1 while the thread writes piece k, and holds no more
+    pieces than when it wrote each one itself.  :meth:`sync` returns once
+    every piece handed over is written and flushed.  When a write or
+    flush fails, the thread drops the pieces that follow and the caller's
+    next write or sync raises the error, as :func:`_raise_write_error`
+    does.
 
     On leaving the ``with`` block normally, every piece is written and
-    flushed and the thread has ended.  On leaving it by an exception,
-    the piece still waiting is dropped and the thread is not waited
-    for: it may be blocked in a write that no reader drains.
+    flushed and the thread has ended.  On leaving it by an exception, the
+    thread is not waited for: it may be blocked in a write that no reader
+    drains.
     """
 
     def __init__(self) -> None:
         self._out = sys.stdout.buffer
-        self._changed = threading.Condition()
-        self._waiting: object = None  # the next piece, _FLUSH, _STOP, or None
-        self._busy = False  # the thread has taken a piece and not finished it
+        self._first = True
+        self._queue = None  # the hand-off to the helper thread, once started
         self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._drain, name="vt-stdout", daemon=True)
 
     def __enter__(self) -> _Stdout:
-        self._thread.start()
         return self
 
     def __exit__(self, kind: type | None, *_: object) -> None:
+        if self._queue is None:
+            return
         try:
             if kind is None:
                 self.sync()
         finally:
-            with self._changed:
-                self._waiting = _STOP  # in place of a piece still waiting, if any
-                self._changed.notify_all()
+            self._queue.put(_STOP)
         if kind is None:
-            self._thread.join()  # idle after the sync: it returns at once
+            self._thread.join()
 
     def write(self, piece: bytes) -> None:
-        """Hand piece to the writer thread once the piece before it is taken."""
-        with self._changed:
-            while self._waiting is not None and self._error is None:
-                self._changed.wait()
-            self._raise_error()
-            self._waiting = piece
-            self._changed.notify_all()
+        """Write piece here if it is the first, else hand it to the helper thread."""
+        if self._first:
+            self._first = False
+            try:
+                self._put_out(piece)
+            except OSError as exc:
+                _raise_write_error(exc)
+            return
+        if self._queue is None:
+            import queue  # only commands that write more than one piece pay for it
+
+            self._queue = queue.Queue()
+            self._thread = threading.Thread(target=self._drain, name="vt-stdout", daemon=True)
+            self._thread.start()
+        self._hand_over(piece)
 
     def sync(self) -> None:
-        """Return once every piece handed over is written and stdout is flushed."""
-        self.write(_FLUSH)
-        with self._changed:
-            while (self._waiting is not None or self._busy) and self._error is None:
-                self._changed.wait()
-            self._raise_error()
+        """Return once every piece handed over is written and flushed."""
+        if self._queue is not None:
+            self._hand_over(_SYNC)
 
-    def _raise_error(self) -> None:
+    def _hand_over(self, item: object) -> None:
+        self._queue.put(item)
+        self._queue.join()  # the thread marks each item done as it takes it
         if self._error is not None:
             _raise_write_error(self._error)
 
+    def _put_out(self, piece: bytes) -> None:
+        self._out.write(piece)
+        self._out.flush()  # out as soon as it is written, should the command be stopped
+
     def _drain(self) -> None:
-        while True:
-            with self._changed:
-                while self._waiting is None:
-                    self._changed.wait()
-                piece, self._waiting = self._waiting, None
-                if piece is _STOP:
-                    return
-                self._busy = True
-                self._changed.notify_all()
-            try:
-                if self._error is not None:
-                    pass  # an earlier piece failed: drop the rest
-                elif piece is _FLUSH:
-                    self._out.flush()
-                else:
-                    self._out.write(piece)
-            except Exception as exc:  # the caller raises it at its next write or sync
-                self._error = exc
-            with self._changed:
-                self._busy = False
-                self._changed.notify_all()
+        while (piece := self._queue.get()) is not _STOP:
+            self._queue.task_done()
+            if piece is not _SYNC and self._error is None:  # after a failure, drop the rest
+                try:
+                    self._put_out(piece)
+                except Exception as exc:  # the caller raises it at its next write or sync
+                    self._error = exc
 
 
 def _write(blocks: Iterable[bytes]) -> None:

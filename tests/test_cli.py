@@ -2,6 +2,7 @@
 import errno
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -690,6 +691,28 @@ class TestOutputThread:
         assert finished and raised is None
         assert out.data == sent and not out.pending
 
+    def test_the_caller_is_at_most_one_piece_ahead(self, monkeypatch):
+        # a hand-off returns once the piece before it is written, so a
+        # slow reader leaves the caller holding as many pieces as it
+        # would writing each itself: the thread's and the one it made
+        class Slow(_WriteFlushOnly):
+            def write(self, data):
+                time.sleep(0.002)
+                return super().write(data)
+
+        out = Slow()
+        monkeypatch.setattr(sys, "stdout", out)
+        ahead = []
+
+        def pieces():
+            for k in range(40):
+                ahead.append(k - out.data.count(b"\n"))  # made and not yet written
+                yield b"%d\n" % k
+
+        cli._write(pieces())
+        assert max(ahead) == 1
+        assert bytes(out.data) == b"".join(b"%d\n" % k for k in range(40))
+
     @pytest.mark.parametrize(
         "error,raised,message",
         [
@@ -717,7 +740,8 @@ class TestOutputThread:
 
         class Stuck(_WriteFlushOnly):
             def write(self, data):
-                release.wait(30)
+                if data != b"first":  # written on the calling thread
+                    release.wait(30)
                 return len(data)
 
         monkeypatch.setattr(sys, "stdout", Stuck())
@@ -725,7 +749,7 @@ class TestOutputThread:
         def interrupted():
             with cli._Stdout() as stdout:
                 stdout.write(b"first")
-                stdout.write(b"second")  # waits for the thread
+                stdout.write(b"second")  # the thread takes it and blocks
                 raise LookupError
 
         try:
@@ -733,6 +757,30 @@ class TestOutputThread:
         finally:
             release.set()
         assert finished and isinstance(exc, LookupError)
+
+
+    @pytest.mark.parametrize(
+        "argv,threads",
+        [
+            (["check", "7"], 0),
+            (["family", "even", "--ell", "2", "--n", "4"], 0),
+            (["scan", "--from", "1", "--to", str(2**15)], 0),  # one piece
+            (["scan", "--from", "1", "--to", str(2**15 + 1)], 1),  # two
+        ],
+    )
+    def test_a_thread_only_for_a_second_piece(self, argv, threads, capsysbinary, monkeypatch):
+        # the first piece is written on the calling thread: a verb that
+        # writes one piece has nothing to overlap and starts no thread
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        assert dispatch(list(argv)) == 0
+        assert started.count("vt-stdout") == threads
 
 
 def _line_offset(data, lines):
@@ -1053,6 +1101,35 @@ class TestSubprocessSurface:
         proc.stderr.close()
         assert code == 130
         assert b"Fatal Python error" not in err and b"Traceback" not in err
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_runs_are_out_while_the_search_goes_on(self, buffered, capsysbinary):
+        # every piece is flushed once written, so the first chunk's runs
+        # reach the reader while the search goes on and an interrupt loses
+        # none of them; past 2^64 a run of 8 or more comes about once in 5e7
+        # indexes, so a buffered stdout left unflushed would hold it for minutes
+        first = 2**64 + 10436792  # a run of 9
+        lo = first - 48
+        _, want, _ = run_cli(
+            ["runs", "--min-len", "8", "--from", str(lo), "--to", str(first + 9)], capsysbinary
+        )
+        proc = _vt_process(["runs", "--min-len", "8", "--from", str(lo), "--to", str(2**65)],
+                           buffered)
+        try:
+            readable, _, _ = select.select([proc.stdout], [], [], 30)
+            assert readable, "no run reached stdout while the search went on"
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=5)
+            out = proc.stdout.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert code == 130
+        assert b"Traceback" not in err
+        assert want and out.startswith(want) and out.endswith(b"\n")
 
     def test_identical_argv_identical_bytes(self):
         argv = [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", "5000"]
