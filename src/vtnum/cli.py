@@ -22,8 +22,8 @@ its check or stdout refuses the output, 2 on usage errors.  Identical
 argument vectors produce identical stdout bytes.  Classification runs on
 the calling thread: ``--threads`` and ``VT_THREADS`` are validated (a bad
 value is a usage error) but change nothing.  Output that comes in more
-than one piece is written to stdout from the second piece on by one
-helper thread, while the calling thread makes the next piece.
+than one piece is written to stdout from the second piece on, each by a
+thread of its own, while the calling thread makes the next piece.
 
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
@@ -39,7 +39,7 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Iterator, NoReturn
+from typing import IO, Iterable, Iterator, NoReturn
 
 from . import __version__
 from .analysis import (
@@ -111,92 +111,63 @@ def _raise_write_error(error: Exception) -> NoReturn:
     raise error
 
 
-# handed to the writer thread in place of a piece: taken once every piece
-# before it is written; end the thread
-_SYNC, _STOP = object(), object()
-
-
 class _Stdout:
-    """The command's stdout, written by one helper thread.
+    """The command's stdout, each piece after the first written by a thread of its own.
 
     :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it.
     The first piece is written on the calling thread, as nothing is yet
-    made while it is written; the rest are handed to a helper thread,
-    started with the second.  A hand-off returns once the thread takes
-    the piece, that is once the piece before it is written: the caller
-    makes piece k + 1 while the thread writes piece k, and holds no more
-    pieces than when it wrote each one itself.  :meth:`sync` returns once
-    every piece handed over is written and flushed.  When a write or
-    flush fails, the thread drops the pieces that follow and the caller's
-    next write or sync raises the error, as :func:`_raise_write_error`
-    does.
+    made while it is written.  Each later piece gets a writer thread,
+    started once the writer of the piece before has ended: the caller
+    makes piece k + 1 while piece k is written, and holds no more pieces
+    than when it wrote each one itself.  :meth:`sync` returns once every
+    piece is written and flushed.  When a write or flush fails, no later
+    piece is started, and the caller's next write or sync raises the
+    error, as :func:`_raise_write_error` does.
 
     On leaving the ``with`` block normally, every piece is written and
-    flushed and the thread has ended.  On leaving it by an exception, the
-    thread is not waited for: it may be blocked in a write that no reader
-    drains.
+    flushed.  On leaving it by an exception, the last writer is not
+    waited for: it may be blocked in a write that no reader drains.
     """
 
     def __init__(self) -> None:
         self._out = sys.stdout.buffer
         self._first = True
-        self._queue = None  # the hand-off to the helper thread, once started
+        self._writer: threading.Thread | None = None
         self._error: Exception | None = None
 
     def __enter__(self) -> _Stdout:
         return self
 
     def __exit__(self, kind: type | None, *_: object) -> None:
-        if self._queue is None:
-            return
-        try:
-            if kind is None:
-                self.sync()
-        finally:
-            self._queue.put(_STOP)
         if kind is None:
-            self._thread.join()
+            self.sync()
 
     def write(self, piece: bytes) -> None:
-        """Write piece here if it is the first, else hand it to the helper thread."""
+        """Write piece here if it is the first, else on a writer thread of its own."""
+        self.sync()
         if self._first:
             self._first = False
-            try:
-                self._put_out(piece)
-            except OSError as exc:
-                _raise_write_error(exc)
+            self._put_out(piece)
+            self.sync()
             return
-        if self._queue is None:
-            import queue  # only commands that write more than one piece pay for it
-
-            self._queue = queue.Queue()
-            self._thread = threading.Thread(target=self._drain, name="vt-stdout", daemon=True)
-            self._thread.start()
-        self._hand_over(piece)
+        self._writer = threading.Thread(
+            target=self._put_out, args=(piece,), name="vt-stdout", daemon=True
+        )
+        self._writer.start()
 
     def sync(self) -> None:
-        """Return once every piece handed over is written and flushed."""
-        if self._queue is not None:
-            self._hand_over(_SYNC)
-
-    def _hand_over(self, item: object) -> None:
-        self._queue.put(item)
-        self._queue.join()  # the thread marks each item done as it takes it
+        """Return once every piece is written and flushed."""
+        if self._writer is not None:
+            self._writer.join()
         if self._error is not None:
             _raise_write_error(self._error)
 
     def _put_out(self, piece: bytes) -> None:
-        self._out.write(piece)
-        self._out.flush()  # out as soon as it is written, should the command be stopped
-
-    def _drain(self) -> None:
-        while (piece := self._queue.get()) is not _STOP:
-            self._queue.task_done()
-            if piece is not _SYNC and self._error is None:  # after a failure, drop the rest
-                try:
-                    self._put_out(piece)
-                except Exception as exc:  # the caller raises it at its next write or sync
-                    self._error = exc
+        try:
+            self._out.write(piece)
+            self._out.flush()  # out as soon as it is written, should the command be stopped
+        except Exception as exc:  # the caller raises it at its next write or sync
+            self._error = exc
 
 
 def _write(blocks: Iterable[bytes]) -> None:
@@ -248,8 +219,8 @@ def _checkpoint_file(path: str) -> Iterator[None]:
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Stream the range's records, saving the checkpoint (if any) after each block.
 
-    The writer thread writes each piece while the next is formatted.  The
-    barrier sits before each checkpoint save: out.sync() returns once
+    Each piece is written on its own thread while the next is formatted.
+    The barrier sits before each checkpoint save: out.sync() returns once
     every piece of the block is written and flushed, so a saved
     checkpoint never points past a byte that is not out, and none is
     saved for a block whose bytes failed to write.
@@ -492,6 +463,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        # argparse drops a failed write's error: an unbuffered stdout that
+        # refused --help or --version would exit 0 with the text lost
+        if file is None or file is not sys.stdout:
+            super()._print_message(message, file)
+            return
+        try:
+            file.write(message)
+        except OSError as exc:
+            _raise_write_error(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,6 +39,7 @@ import json
 import math
 import os
 import re
+import stat
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
@@ -227,11 +228,16 @@ def checkpoint_resume(source: str | os.PathLike[str]) -> ScanCheckpoint:
 
     Raises :class:`CheckpointVersionError` for an unsupported
     format_version (version 1 files, which predate ``fmt``, included),
-    :class:`CheckpointCorruptError` for a malformed
-    document, and :class:`CheckpointStateError` when the fields parse
-    but are mutually inconsistent (including a ``current_t`` that does
-    not match the recomputed t_(next-1)).
+    :class:`CheckpointCorruptError` for a malformed document or a
+    source that is not a regular file (a device may never end, a FIFO
+    may never open), and :class:`CheckpointStateError` when the fields
+    parse but are mutually inconsistent (including a ``current_t`` that
+    does not match the recomputed t_(next-1)).
     """
+    if not stat.S_ISREG(os.stat(source).st_mode):
+        raise CheckpointCorruptError(
+            f"cannot use checkpoint {os.fspath(source)}: not a regular file"
+        )
     with open(source, encoding="ascii") as fh:
         try:
             payload = json.load(fh)

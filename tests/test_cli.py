@@ -665,7 +665,8 @@ def _in_thread(fn, timeout=10):
 
 
 class TestOutputThread:
-    """cli._Stdout: pieces written in order by one helper thread, errors raised by the caller."""
+    """cli._Stdout: pieces written in order, each after the first by a writer thread
+    of its own that starts once the one before has ended; errors raised by the caller."""
 
     def test_pieces_arrive_in_order_and_sync_waits_for_them(self, monkeypatch):
         out = _FlushedOnly()
@@ -692,9 +693,9 @@ class TestOutputThread:
         assert out.data == sent and not out.pending
 
     def test_the_caller_is_at_most_one_piece_ahead(self, monkeypatch):
-        # a hand-off returns once the piece before it is written, so a
-        # slow reader leaves the caller holding as many pieces as it
-        # would writing each itself: the thread's and the one it made
+        # write returns once the piece before it is written, so a slow
+        # reader leaves the caller holding as many pieces as it would
+        # writing each itself: the writer's and the one it made
         class Slow(_WriteFlushOnly):
             def write(self, data):
                 time.sleep(0.002)
@@ -724,8 +725,8 @@ class TestOutputThread:
     )
     @pytest.mark.parametrize("pieces", [1, 100])
     def test_a_failed_write_reaches_the_caller(self, monkeypatch, error, raised, message, pieces):
-        # the thread keeps taking pieces after the failure, so the caller
-        # never waits for ever on a hand-off: its next write or sync raises
+        # no writer is started after the failed one, and the caller never
+        # waits for ever on a writer: its next write or sync raises
         monkeypatch.setattr(sys, "stdout", _FailingWrites(error))
         finished, exc = _in_thread(lambda: cli._write(b"piece" for _ in range(pieces)))
         assert finished
@@ -734,7 +735,7 @@ class TestOutputThread:
             assert str(exc) == message
 
     def test_an_exception_in_the_block_leaves_at_once(self, monkeypatch):
-        # the thread is blocked in a write no reader drains: leaving the
+        # the writer is blocked in a write no reader drains: leaving the
         # block by an exception must not wait for it
         release = threading.Event()
 
@@ -749,7 +750,7 @@ class TestOutputThread:
         def interrupted():
             with cli._Stdout() as stdout:
                 stdout.write(b"first")
-                stdout.write(b"second")  # the thread takes it and blocks
+                stdout.write(b"second")  # its writer blocks
                 raise LookupError
 
         try:
@@ -781,6 +782,34 @@ class TestOutputThread:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         assert dispatch(list(argv)) == 0
         assert started.count("vt-stdout") == threads
+
+    @pytest.mark.parametrize(
+        "argv,pieces",
+        [
+            (["scan", "--from", "1", "--to", str(2**17 + 1)], 5),  # one chunk
+            (["twins", "--from", "1", "--to", str(2**21 + 2**12)], 3),  # three chunks
+        ],
+    )
+    def test_one_writer_at_a_time(self, ref, argv, pieces, capsysbinary, monkeypatch):
+        # a piece's writer starts once the one before has ended, and none
+        # is left running when the command returns
+        writers, alive = [], []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            if thread.name == "vt-stdout":
+                alive.append(sum(writer.is_alive() for writer in writers))
+                writers.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        code, out, _ = run_cli(argv, capsysbinary)
+        assert code == 0
+        assert alive == [0] * (pieces - 1)
+        assert not any(writer.is_alive() for writer in writers)
+        lo, hi = int(argv[2]), int(argv[4])
+        want = ref.record_lines(lo, hi, "jsonl") if argv[0] == "scan" else ref.run_lines(lo, hi, 2)
+        assert out == want
 
 
 def _line_offset(data, lines):
@@ -938,10 +967,13 @@ class TestWriteErrors:
         assert code == 1
         assert err == f"vt: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
-    def test_text_meets_the_full_device_at_the_last_flush(self):
-        # argparse prints --version as text; a buffered stdout refuses it
-        # only when main flushes (unbuffered, argparse drops the error)
-        code, err = self._run_into_full(["--version"], buffered=True)
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["scan", "--help"]])
+    def test_text_meets_the_full_device_at_the_last_flush(self, argv, buffered):
+        # argparse prints this text itself: a buffered stdout refuses it
+        # when main flushes, an unbuffered one in argparse's own write,
+        # whose error argparse would drop
+        code, err = self._run_into_full(argv, buffered)
         assert code == 1
         assert err == f"vt: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
@@ -1047,6 +1079,35 @@ class TestSubprocessSurface:
         err = proc.stderr.decode()
         assert err.count("\n") == 1 and err.startswith("vt: ")
         assert "falls outside" in err and len(err) < 300
+
+    @pytest.mark.parametrize("kind", ["device", "fifo"])
+    def test_checkpoint_that_is_not_a_file_is_one_line(self, kind, tmp_path):
+        # read to its end, /dev/zero fills memory; opened, a FIFO with no
+        # writer blocks for ever: the child runs with its address space
+        # capped and a timeout, so a regression fails here, and fast
+        pytest.importorskip("resource")  # the child caps its address space with it
+        if kind == "device":
+            if not os.path.exists("/dev/zero"):
+                pytest.skip("no /dev/zero on this system")
+            path = "/dev/zero"
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this system")
+            path = tmp_path / "cp.json"
+            os.mkfifo(path)
+        capped = (
+            f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({2**29}, {2**29})); "
+            "runpy.run_module('vtnum', run_name='__main__')"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "scan", "--from", "1", "--to", "10",
+             "--checkpoint", str(path)],
+            capture_output=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"vt: cannot use checkpoint {path}: not a regular file\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -913,6 +913,20 @@ class TestCheckpointFile:
         checkpoint_save(state, path)
         assert checkpoint_resume(path).current_t == n * (n + 1) // 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this system")
+    def test_endless_device_is_not_read(self):
+        # read to its end, /dev/zero would fill memory
+        with pytest.raises(CheckpointCorruptError, match="not a regular file"):
+            checkpoint_resume("/dev/zero")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this system")
+    def test_fifo_is_not_opened(self, tmp_path):
+        # opened for reading, a FIFO with no writer blocks for ever
+        path = tmp_path / "cp.json"
+        os.mkfifo(path)
+        with pytest.raises(CheckpointCorruptError, match="not a regular file"):
+            checkpoint_resume(path)
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text('{"format_version": 1, ')
