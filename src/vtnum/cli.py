@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import threading
 from contextlib import contextmanager
@@ -103,6 +104,13 @@ class _OutputError(Exception):
     """stdout refused the command's output (any OSError but a broken pipe)."""
 
 
+def _stdout() -> IO[str]:
+    """sys.stdout, or an _OutputError when the process started with it closed (then it is None)."""
+    if sys.stdout is None:
+        raise _OutputError("cannot write output: stdout is closed")
+    return sys.stdout
+
+
 def _raise_write_error(error: Exception) -> NoReturn:
     """Raise what a failed write to stdout means: a BrokenPipeError as
     itself, any other OSError as an _OutputError."""
@@ -114,7 +122,8 @@ def _raise_write_error(error: Exception) -> NoReturn:
 class _Stdout:
     """The command's stdout, each piece after the first written by a thread of its own.
 
-    :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it.
+    :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it;
+    with stdout closed from the start, the first write raises _OutputError.
     The first piece is written on the calling thread, as nothing is yet
     made while it is written.  Each later piece gets a writer thread,
     started once the writer of the piece before has ended: the caller
@@ -130,8 +139,7 @@ class _Stdout:
     """
 
     def __init__(self) -> None:
-        self._out = sys.stdout.buffer
-        self._first = True
+        self._out: IO[bytes] | None = None  # stdout's buffer, looked up at the first write
         self._writer: threading.Thread | None = None
         self._error: Exception | None = None
 
@@ -145,8 +153,8 @@ class _Stdout:
     def write(self, piece: bytes) -> None:
         """Write piece here if it is the first, else on a writer thread of its own."""
         self.sync()
-        if self._first:
-            self._first = False
+        if self._out is None:
+            self._out = _stdout().buffer
             self._put_out(piece)
             self.sync()
             return
@@ -216,6 +224,18 @@ def _checkpoint_file(path: str) -> Iterator[None]:
         raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
 
 
+def _checkpoint_cap(hi: int) -> int:
+    """The size past which a file cannot be a checkpoint of a scan to hi.
+
+    checkpoint_save writes about 120 bytes of names and punctuation
+    around six numbers of at most as many digits as hi + 1 and
+    t_(next-1), of at most twice that; the rest is room for whitespace.
+    A longer file is rejected unread, so its size cannot grow memory.
+    """
+    digits = hi.bit_length() * 3011 // 10000 + 1  # at least those of hi + 1, as 0.3011 > log10(2)
+    return 4096 + 16 * digits
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Stream the range's records, saving the checkpoint (if any) after each block.
 
@@ -228,6 +248,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     resume = None
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         with _checkpoint_file(args.checkpoint):
+            info, cap = os.stat(args.checkpoint), _checkpoint_cap(args.to)
+            if stat.S_ISREG(info.st_mode) and info.st_size > cap:
+                raise CheckpointError(
+                    f"cannot use checkpoint {args.checkpoint}: {info.st_size} bytes, "
+                    f"more than any checkpoint of this scan ({cap})"
+                )
             resume = checkpoint_resume(args.checkpoint)
     last_state = resume
     with _Stdout() as out:
@@ -467,11 +493,11 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message: str, file: IO[str] | None = None) -> None:
         # argparse drops a failed write's error: an unbuffered stdout that
         # refused --help or --version would exit 0 with the text lost
-        if file is None or file is not sys.stdout:
+        if file is not sys.stdout:  # stderr; a closed stdout comes as None, as sys.stdout is
             super()._print_message(message, file)
             return
         try:
-            file.write(message)
+            _stdout().write(message)
         except OSError as exc:
             _raise_write_error(exc)
 
@@ -591,6 +617,8 @@ def dispatch(argv: list[str]) -> int:
 
 def _discard_stdout() -> None:
     """Point stdout at the null device, so the exit flush of bytes nobody takes succeeds."""
+    if sys.stdout is None:  # closed from the start: nothing to flush
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
 
@@ -605,7 +633,8 @@ def main() -> None:
     try:
         code = dispatch(sys.argv[1:])
         try:
-            sys.stdout.flush()  # the text argparse printed, if any
+            if sys.stdout is not None:
+                sys.stdout.flush()  # the text argparse printed, if any
         except OSError as exc:
             _raise_write_error(exc)
     except BrokenPipeError:

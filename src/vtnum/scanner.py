@@ -26,10 +26,11 @@ t is serialized as a decimal string in JSON so consumers limited to
 
 A chunk's records, at either tier, are formatted by one numpy kernel,
 exact at any size.  It builds n and t in base-10^4 groups the way the
-classifiers build t, t_(a+i) = t_a + i*a + t_i, as fixed-width rows of
-bytes (digits from a table of 4-digit groups, leading zeros and padding
-as NUL bytes), then deletes the NULs.  Any other records go through one
-f-string per line: the reference the kernel is tested against.
+classifiers build t, t_(a+i) = t_a + i*a + t_i, and lays the digits
+(from a table of 4-digit groups) out in rows of exactly each record's
+bytes, but for NUL padding after short tails, which it then deletes.
+Any other records go through one f-string per line: the reference the
+kernel is tested against.
 """
 from __future__ import annotations
 
@@ -891,7 +892,8 @@ _LINES: dict[str, Callable[[object, object, int, bool], str]] = {
     "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
 }
 
-_FORMAT_BLOCK = _LIMB_BLOCK  # rows per pass of the kernel: its columns stay below 2^32
+# rows per stream piece, and per pass of the run kernel: its columns stay below 2^32
+_FORMAT_BLOCK = _LIMB_BLOCK
 _E4 = 10**4
 # entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32
 _DIGIT_GROUPS = (
@@ -914,19 +916,26 @@ def _word_table(texts: list[str]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _layout(fmt: str, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A format's line cut around n and t, in NUL padded uint32 words: before n,
-    between n and t, and a table whose entry [pc, vt] holds the rest, for pc <= bits."""
+def _row_layout(fmt: str, bits: int) -> tuple[np.void, np.void, np.ndarray]:
+    """A format's line cut around n and t, as numpy void items: the bytes before
+    n, those between n and t, and a table whose item [pc, vt] holds the rest,
+    NUL padded on the right to the longest tail, for pc <= bits."""
     line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
     tails = [line("", "\2", pc, vt).partition("\2")[2] for pc in range(bits + 1) for vt in (0, 1)]
-    table = _word_table(tails).reshape(bits + 1, 2, -1)
-    return _words(lead), _words(rest.partition("\2")[0]), table
+    width = max(map(len, tails))
+    table = np.frombuffer("".join(tail.ljust(width, "\0") for tail in tails).encode(), f"V{width}")
+    mid = rest.partition("\2")[0]
+    return np.void(lead.encode()), np.void(mid.encode()), table.reshape(bits + 1, 2)
 
 
 def _groups(x: int, count: int) -> list[int]:
     """The low `count` base-10^4 groups of x, least significant first."""
-    return [x // _E4**j % _E4 for j in range(count)]
+    groups = []
+    for _ in range(count):
+        x, group = divmod(x, _E4)
+        groups.append(group)
+    return groups
 
 
 def _digit_runs(first: int, rows: int, reach: Callable[[int], int]) -> list[tuple[int, int, int]]:
@@ -971,42 +980,89 @@ def _put_groups(field: np.ndarray, base: int, step: int, first: np.ndarray) -> N
         field[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
 
 
-def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> bytearray:
-    """The kernel path of :func:`format_block`, in passes of _FORMAT_BLOCK rows.
+def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
+    """Item i holds the ASCII digits of base + i*step + first[i], zero padded on
+    the left to whole base-10^4 groups: one numpy void item per row, where the
+    values have at most `digits` digits."""
+    groups = np.empty((first.size, -(-digits // 4)), np.uint32)
+    _put_groups(groups, base, step, first)
+    return _DIGIT_GROUPS.take(groups).view(f"V{4 * groups.shape[1]}")[:, 0]
 
-    Each pass fills a matrix with one NUL padded row of uint32 words per
-    record, then deletes its NUL bytes; later passes grow the first in
-    place.  n = a + i and t = t_a + i*a + t_i, as the classifiers build t,
-    go in by :func:`_put_groups`: for i < 2^15 a column of t stays below
-    2^15 * 10^4 + 10^4 + 2^29 < 2^32.  Digits come from _DIGIT_GROUPS,
-    and in each run of rows with one digit count leading zeros become NUL.
+
+# rows per cell of the record kernel: a cell's digit groups stay cache
+# sized, and its i and t_i below 2^15
+_CELL_ROWS = 1 << 13
+
+
+def _cells(n_runs: list, t_runs: list) -> list[tuple[int, int, int, int]]:
+    """(start, stop, n digits, t digits) of each cell: a run of at most _CELL_ROWS
+    rows where n and t keep one digit count."""
+    rows = n_runs[-1][1]
+    if len(n_runs) == len(t_runs) == 1 and rows <= _CELL_ROWS:
+        return [(0, rows, n_runs[0][2], t_runs[0][2])]
+    cuts = {stop for _, stop, _ in n_runs} | {stop for _, stop, _ in t_runs}
+    cells, start = [], 0
+    for stop in sorted(cuts.union(range(_CELL_ROWS, rows, _CELL_ROWS))):
+        dn = next(d for _, end, d in n_runs if end > start)
+        cells.append((start, stop, dn, next(d for _, end, d in t_runs if end > start)))
+        start = stop
+    return cells
+
+
+def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> bytearray:
+    """The kernel path of :func:`format_block`, one cell of rows at a time.
+
+    A cell is a run of at most _CELL_ROWS rows whose n and t keep one
+    digit count (:func:`_cells`).  Its rows are exactly lead | n | mid |
+    t | tail, the tail NUL padded on the right to the longest, with 4
+    headroom bytes before the cell; each field is written as a column of
+    numpy void items, one per row.
+    From the cell's first index c, n = c + i and t = t_c + i*c + t_i, as
+    the classifiers build t, go in by :func:`_digits`: for i < 2^15 a
+    column of t stays below 2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only
+    NULs are the padding of short tails and the headroom, so deleting
+    them at the end costs about a copy.
+
+    A field's digit groups are copied so that its last digit lands on
+    its last byte: the up to 3 zeros that pad its top group to four
+    digits land just before the field.  Hence the write order t, n,
+    lead, mid, tail, each later write covering the stray zeros of an
+    earlier one.  t's fall into mid, or in csv into mid and n's digits;
+    n's into lead, or in csv, whose lead is empty, into the tail of the
+    row before or into the headroom, which is zeroed last.
     """
-    out = bytearray()
+    a = ns.start
+    n_runs = _digit_runs(a, len(ns), lambda k: 10**k - a)
+    t_runs = _digit_runs(a * (a + 1) // 2, len(ns), lambda k: (math.isqrt(8 * 10**k) + 1) // 2 - a)
+    lead, mid, tails = _row_layout(fmt, triangular(ns[-1]).bit_length())
+    fixed = lead.itemsize + mid.itemsize + tails.itemsize
+    cells = _cells(n_runs, t_runs)
+    buf = bytearray(sum(4 + (stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells))
     i, t_i = _block_tables(np.uint32)
-    for s in range(0, len(ns), _FORMAT_BLOCK):
-        a, m, t_a = ns[s], min(_FORMAT_BLOCK, len(ns) - s), ns[s] * (ns[s] + 1) // 2
-        n_runs = _digit_runs(a, m, lambda k: 10**k - a)
-        t_runs = _digit_runs(t_a, m, lambda k: (math.isqrt(8 * 10**k) + 1) // 2 - a)
-        n_width, t_width = -(-n_runs[-1][2] // 4), -(-t_runs[-1][2] // 4)
-        lead, mid, tails = _layout(fmt, triangular(ns[-1]).bit_length())
-        n_at, t_at = lead.size, lead.size + n_width + mid.size
-        buf = bytearray(4 * m * (t_at + t_width + tails.shape[2]))
-        rows = np.frombuffer(buf, np.uint32).reshape(m, -1)
-        _put_groups(rows[:, n_at : n_at + n_width], a, 0, i[:m])
-        _put_groups(rows[:, t_at : t_at + t_width], t_a, a, t_i[:m])
-        fields = rows[:, n_at : t_at + t_width]  # mid holds group 0 until written below
-        fields[...] = _DIGIT_GROUPS[fields]
-        rows[:, :n_at], rows[:, t_at - mid.size : t_at] = lead, mid
-        rows[:, t_at + t_width :] = tails[pcs[s : s + m], vts[s : s + m].view(np.uint8)]
-        for at, width, runs in ((n_at, n_width, n_runs), (t_at, t_width, t_runs)):
-            for start, stop, digits in runs:
-                rows.view(np.uint8)[start:stop, 4 * at : 4 * (at + width) - digits] = 0
-        piece = buf.translate(None, b"\0")
-        if s:
-            out += piece
-        else:
-            out = piece
-    return out
+    at = 4  # past the headroom
+    for start, stop, dn, dt in cells:
+        rows, width, c = stop - start, fixed + dn + dt, a + start
+
+        def column(end: int, item: np.dtype) -> np.ndarray:
+            """The item of each row of the cell that ends at byte `end` of the row."""
+            return np.ndarray(rows, item, buf, at + end - item.itemsize, width)
+
+        n_end = lead.itemsize + dn
+        t_end = n_end + mid.itemsize + dt
+        digits = _digits(c * (c + 1) // 2, c, t_i[:rows], dt)
+        column(t_end, digits.dtype)[...] = digits
+        digits = _digits(c, 0, i[:rows], dn)
+        column(n_end, digits.dtype)[...] = digits
+        column(lead.itemsize, lead.dtype)[...] = lead
+        column(n_end + mid.itemsize, mid.dtype)[...] = mid
+        column(width, tails.dtype)[...] = tails[pcs[start:stop], vts[start:stop].view(np.uint8)]
+        buf[at - 4 : at] = bytes(4)
+        at += rows * width + 4
+    # in place: the piece keeps buf's allocation, so one freed heap block
+    # of that size takes the next piece's buffer (1 MB less peak RSS on
+    # vt scan than a new bytearray of the piece's own size)
+    buf[:] = buf.replace(b"\0", b"")
+    return buf
 
 
 # A run's jsonl line, as `vt runs` prints it, is

@@ -338,6 +338,30 @@ class TestScanCheckpoint:
         assert err.count("\n") == 1 and err.startswith("vt: cannot use checkpoint")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("hi", [400, 10**60])
+    def test_size_cap_both_sides(self, tmp_path, capsysbinary, hi):
+        # a checkpoint padded with whitespace to the cap is read; one byte more is not
+        lo = hi - 399
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", str(lo), "--to", str(hi), "--checkpoint", str(path)]
+        _, full, _ = run_cli(argv[:-2], capsysbinary)
+        blocks = list(stream_scan(lo, hi, chunk_size=100))
+        checkpoint_save(blocks[1].checkpoint, path)
+        saved = path.read_bytes()
+        cap = cli._checkpoint_cap(hi)
+        assert len(saved) < cap
+        path.write_bytes(saved + b" " * (cap + 1 - len(saved)))
+        code, out, err = run_cli(argv, capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err == (
+            f"vt: cannot use checkpoint {path}: {cap + 1} bytes, "
+            f"more than any checkpoint of this scan ({cap})\n"
+        )
+        path.write_bytes(saved + b" " * (cap - len(saved)))
+        code, rest, _ = run_cli(argv, capsysbinary)
+        assert code == 0
+        assert blocks[0].payload + blocks[1].payload + rest == full
+
     def test_corrupt_checkpoint_fails_loud(self, tmp_path, capsysbinary):
         path = tmp_path / "cp.json"
         path.write_text("{nope")
@@ -993,6 +1017,41 @@ class TestWriteErrors:
         assert path.read_bytes() == saved
 
 
+class TestClosedStdout:
+    """A child started with stdout closed has sys.stdout None: one stderr line, exit 1."""
+
+    def _run_closed(self, argv):
+        closed = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "vtnum", *argv]
+        proc = subprocess.run(closed, stderr=subprocess.PIPE, timeout=60)
+        return proc.returncode, proc.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "7"],
+            ["--version"],
+            ["--help"],
+            ["scan", "--emit", "csv", "--from", "1", "--to", "5"],
+            ["runs", "--from", "1", "--to", "50"],
+            ["density", "10", "20"],
+        ],
+    )
+    def test_one_line_and_exit_1(self, argv):
+        assert self._run_closed(argv) == (1, "vt: cannot write output: stdout is closed\n")
+
+    def test_no_checkpoint_is_saved(self, tmp_path):
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", "1", "--to", "5", "--checkpoint", str(path)]
+        code, err = self._run_closed(argv)
+        assert (code, err.count("\n")) == (1, 1)
+        assert not path.exists()
+
+    def test_usage_errors_stay_exit_2(self):
+        code, err = self._run_closed(["scan", "--from", "5", "--to", "1"])
+        assert code == 2
+        assert err.startswith("vt: range must satisfy") and err.count("\n") == 1
+
+
 @pytest.fixture
 def no_int_digit_limit():
     """Lift the int <-> str digit limit for one test, as `vt` does."""
@@ -1108,6 +1167,34 @@ class TestSubprocessSurface:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.decode() == f"vt: cannot use checkpoint {path}: not a regular file\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_long_checkpoint_is_not_read(self, tmp_path):
+        # 64 MiB of whitespace before a valid document is rejected by its
+        # size: the child peaks within a few MB of `vt --version`.  Both are
+        # started from a small interpreter, as a child's peak RSS counts
+        # the memory of the process it was forked from
+        path = tmp_path / "cp.json"
+        with open(path, "wb") as fh:
+            for _ in range(64):
+                fh.write(b" " * (1 << 20))
+            fh.write(b"{}")
+        measure = (
+            "import os, subprocess, sys\n"
+            "for argv in (sys.argv[1:], ['--version']):\n"
+            "    child = subprocess.Popen([sys.executable, '-m', 'vtnum', *argv],\n"
+            "                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+            "    _, status, usage = os.wait4(child.pid, 0)\n"
+            "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", measure, "scan", "--from", "1", "--to", "10",
+             "--checkpoint", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        (code, peak), (version_code, floor) = (line.split() for line in proc.stdout.splitlines())
+        assert (code, version_code) == ("2", "0")
+        assert float(peak) - float(floor) < 5
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1401,6 +1401,59 @@ class TestChunkFormatter:
         assert head + tail == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
 
 
+def _stream_bytes(lo, hi, fmt, chunk=1 << 20):
+    """The pieces of stream_scan over [lo, hi], joined."""
+    blocks = stream_scan(lo, hi, fmt, chunk_size=chunk)
+    return b"".join(piece for block in blocks for piece in block.pieces())
+
+
+# a field of 4k + 1 digits leaves 3 stray zeros before it; these are where n
+# reaches such a field (in csv the zeros fall into the tail of the row before,
+# or into the headroom before a cell's first row) and where t does (into mid,
+# and in csv into n)
+_N_STRAY_EDGES = [10**k for k in (4, 8, 12, 16, 20)]
+_T_STRAY_EDGES = [_first_index_reaching(10**k) for k in (4, 8, 12, 16, 20, 24, 40)]
+
+
+class TestRowLayout:
+    """The byte-exact rows where stray leading zeros and NUL padding land, against the oracle."""
+
+    @pytest.mark.parametrize("edge", _N_STRAY_EDGES)
+    def test_csv_piece_starting_at_4k_plus_1_digit_n(self, ref, edge):
+        # row 0 of the first piece is the first such n; the second piece
+        # starts inside the run, and every cell cut falls on such an n
+        lo, hi = edge, edge + _FORMAT_BLOCK + 100
+        got = _stream_bytes(lo, hi, "csv")
+        assert got == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("edge", [1, *_N_STRAY_EDGES])
+    def test_csv_right_after_an_n_digit_step(self, ref, edge, chunk):
+        lo, hi = max(1, edge - 30), edge + 30
+        got = _stream_bytes(lo, hi, "csv", chunk)
+        assert got == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 20])
+    @pytest.mark.parametrize("edge", _T_STRAY_EDGES)
+    def test_jsonl_at_4k_plus_1_digit_t(self, ref, edge, chunk):
+        # a piece starting at the first such t, and one crossing into it
+        for lo, hi in ((edge, edge + 40), (edge - 40, edge + 40)):
+            got = _stream_bytes(lo, hi, "jsonl", chunk)
+            assert got == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("lo", [1, 2**40 - 20, 2**70 - 20, 2**200 - 20])
+    def test_short_tails(self, ref, lo, fmt):
+        # "true" and a 1-digit pc are the tails shorter than the cell:
+        # their rows keep NUL padding until it is deleted
+        hi = lo + 60
+        rows = _ref_rows(ref, lo, hi)
+        assert any(vt and pc < 10 for pc, vt in zip(rows[2], rows[3]))
+        header = _CSV_HEADER if fmt == "csv" else b""
+        for chunk in (1, 7, 1 << 20):
+            assert _stream_bytes(lo, hi, fmt, chunk) == header + _format_exact(rows, fmt)
+
+
 # n gains a digit inside the one-word tier; t crosses 2^64 at the tier
 # limit; n reaches 2^64 + 2 inside the limb tier
 _PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, 2**64 + 2]
