@@ -1,20 +1,24 @@
 """Higher-level procedures over the scanner and the witness families:
 density series, interval witnesses, certified all-non-VT windows,
-popcount periodicity checks, the exhaustive popcount-<=3 sweeps (one
-engine that inverts values with at most 3 set bits rather than walking
-indexes, after a quadratic-residue sieve has discarded almost all of
-them), and arithmetic-progression search.
+popcount periodicity checks, the exhaustive popcount-<=3 sweeps, and
+arithmetic-progression search.
+
+The sweeps run on one engine that finds every triangular number with at
+most 3 set bits without walking indexes: from the set bits it builds the
+few square roots 8t + 1 could have (2-adic roots for the low bits, an
+integer square root for the high ones), in pure Python ints.  Only the
+procedures that classify index ranges (density, Bertrand witnesses,
+progressions) load the numpy scanner, when they are first called; the
+rest of this module never imports numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from . import scanner
 from .core import (
     _require,
     is_triangular,
@@ -89,11 +93,13 @@ def density_series(sample_points: Iterable[int]) -> list[DensityPoint]:
             earlier < later,
             f"sample points must be strictly ascending, got {earlier} before {later}",
         )
+    from .scanner import count_vt
+
     out: list[DensityPoint] = []
     prev = 0
     cumulative = 0
     for N in points:
-        cumulative += scanner.count_vt(prev + 1, N)
+        cumulative += count_vt(prev + 1, N)
         out.append(DensityPoint(N, cumulative))
         prev = N
     return out
@@ -145,8 +151,10 @@ def bertrand_check(n: int) -> BertrandReport:
     _require(n >= 1, f"n must be >= 1, got {n}")
     witnesses: list[int] = []
     if n + 1 <= 2 * n - 1:
-        flags = scanner.vt_flags(n + 1, 2 * n - 1)
-        witnesses = [triangular(n + 1 + int(i)) for i in np.flatnonzero(flags)]
+        from .scanner import vt_flags
+
+        flags = vt_flags(n + 1, 2 * n - 1)
+        witnesses = [triangular(n + 1 + int(i)) for i in flags.nonzero()[0]]
     witness_value: int | None = None
     witness_case: str | None = None
     if n > 9:
@@ -326,64 +334,80 @@ def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
         v = (((ripple ^ v) >> 2) // low) | ripple
 
 
-# The residue sieve.  8v + 1 is a square when v is triangular, so a value
-# whose 8v + 1 is a non-square modulo some m cannot be triangular (Cohen,
-# A Course in Computational Algebraic Number Theory, 1.7.2).  Powers of
-# two tell nothing here: 8v + 1 = 1 (mod 8) is a square modulo every 2^e.
-# Each modulus is a product of two odd factors, so its table stays small
-# while at most 28% of its residues are squares (8% modulo 63 * 65).
+# The popcount-<=3 engine.  t is triangular iff 8t + 1 = y^2 for an odd y,
+# and then t = t_n with n = (y - 1) / 2.  Write t = 2^a + 2^b + 2^c with
+# a > b > c (no a for two set bits), so y^2 = 2^(a+3) + 2^(b+3) + C with
+# C = 1 + 2^(c+3).  Every such y is one of a few candidates, in two
+# disjoint classes:
+#
+#   one set bit, or a > 2b   the rest of y^2 is below the gap between
+#       consecutive squares there, so y is the least integer above a square
+#       root: isqrt(2^(a+3)) + 1 when a >= 2b + 3, and isqrt(2^(a+3) +
+#       2^(b+3)) + 1 when a is 2b + 1 or 2b + 2.  Two candidates per a.
+#   two set bits, or a <= 2b   y < 2^(b+2) and y^2 = C (mod 2^(b+3)), so y
+#       is r or 2^(b+2) - r, the square roots of C modulo 2^(b+2), with r
+#       the 2-adic root of C cut to b + 2 bits.  Two candidates per (c, b):
+#       with d = (y^2 - C) / 2^(b+3), f = d - 1 is 2^(a-b), or 0 for two
+#       set bits.  f = 1 would make a = b: that value has two set bits and
+#       comes at (c, b + 1).
+#
+# So the engine makes O(W^2) candidates for values below 2^W, where the
+# values with at most three set bits are O(W^3).
 
 
-def _square_residues(m: int) -> np.ndarray:
-    """Boolean table over residues mod m: True exactly at the squares."""
-    table = np.zeros(m, dtype=bool)
-    table[np.arange(m) ** 2 % m] = True
-    return table
+def _two_adic_root(value: int, bits: int) -> int:
+    """A square root of value modulo 2^bits, for value = 1 (mod 8).
 
-
-_SQUARE_TABLES = tuple(
-    (m, _square_residues(m))
-    for m in (63 * 65, 11 * 31, 17 * 257, 19 * 37, 23 * 89, 29 * 43, 13 * 241)
-)
-
-
-def _sieved_candidates(width: int) -> Iterator[int]:
-    """Values with 1 to 3 set bits below 2^width that pass the residue sieve.
-
-    Values with one set bit are yielded unsieved.  Those with two or
-    three are 2^top + 2^high + 2^low (top absent for two), so 8v + 1
-    modulo m is a sum of table entries 8 * 2^i mod m.  The pairs
-    low < high come ordered by high, so the pairs below a top bit a are
-    the first a(a-1)/2 of them, and one top bit is sieved at a time.
+    Newton's iteration on the inverse root, z <- z(3 - value z^2)/2,
+    takes value z^2 = 1 from modulo 2^p to modulo 2^(2p - 2); then
+    (value z)^2 = value z^2 value = value.  The root itself cannot be
+    iterated this way: its step halves, which is not invertible modulo 2^k.
     """
-    yield from (1 << i for i in range(width))
-    high, low = np.tril_indices(width, -1)
-    residues = [
-        np.array([8 * pow(2, i, m) % m for i in range(width)], dtype=np.int32)
-        for m, _ in _SQUARE_TABLES
-    ]
-    pair_sums = [r[high] + r[low] for r in residues]
-    tops = [(None, len(high))] + [(a, a * (a - 1) // 2) for a in range(2, width)]
-    for top, count in tops:
-        keep = np.arange(count)
-        for (m, squares), r, sums in zip(_SQUARE_TABLES, residues, pair_sums):
-            offset = 1 if top is None else 1 + int(r[top])
-            keep = keep[squares[(sums[keep] + offset) % m]]
-        base = 0 if top is None else 1 << top
-        for h, l in zip(high[keep].tolist(), low[keep].tolist()):
-            yield base | 1 << h | 1 << l
+    z, p = 1, 3
+    while p < bits:
+        p = 2 * p - 2
+        z = (z * (3 - value * z * z) >> 1) & ((1 << p) - 1)
+    return value * z & ((1 << bits) - 1)
+
+
+def _isqrt_hits(width: int) -> Iterator[tuple[int, int]]:
+    """(n, t_n) for t_n = 2^a, and 2^a + 2^b + 2^c with a > 2b, below 2^width."""
+    for a in range(width):
+        top = 1 << (a + 3)
+        ys = {math.isqrt(top) + 1}
+        if a >= 3:  # a > 2b with b >= 1
+            ys.add(math.isqrt(top + (8 << ((a - 1) >> 1))) + 1)
+        for y in ys:
+            low = (y * y - 1) >> 3 ^ 1 << a  # t_n's bits below a
+            if y & 1 and (low == 0 or low.bit_count() == 2 and a > 2 * low.bit_length() - 2):
+                yield (y - 1) >> 1, (1 << a) + low
+
+
+def _two_adic_hits(width: int) -> Iterator[tuple[int, int]]:
+    """(n, t_n) for t_n = 2^b + 2^c, and 2^a + 2^b + 2^c with a <= 2b, below 2^width."""
+    roots = [(c, _two_adic_root(1 + (8 << c), width + 2), 1 + (8 << c)) for c in range(width)]
+    for b in range(1, width):
+        half = 1 << (b + 1)  # y < 2^(b+2) = 2 * half
+        for c, root, C in roots[:b]:
+            r = root & (2 * half - 1)
+            f = ((r * r - C) >> (b + 3)) - 1
+            g = f + half - r  # f of 2^(b+2) - r, whose square is r^2 + 2^(b+3)(2^(b+1) - r)
+            if f & (f - 1) == 0 or g & (g - 1) == 0:
+                for y, f in ((r, f), (2 * half - r, g)):
+                    if f & (f - 1) == 0 and f != 1 and f.bit_length() <= width - b:
+                        yield (y - 1) >> 1, (f + 1 << b) + (1 << c)
 
 
 def _low_popcount_triangulars(max_bits: int) -> list[tuple[int, int]]:
     """Every (n, t_n) with n < 2^max_bits and popcount(t_n) <= 3, ascending.
 
-    Covers the O(max_bits^3) values with 1 to 3 set bits below
-    2^(2*max_bits - 1); t_n < 2^(2B-1) iff n(n+1) < 2^(2B) iff n < 2^B.
-    The residue sieve drops every value it proves non-triangular, and
-    each survivor is inverted exactly with ``is_triangular``.
+    Covers the values with 1 to 3 set bits below 2^(2*max_bits - 1);
+    t_n < 2^(2B-1) iff n(n+1) < 2^(2B) iff n < 2^B.  Each value is
+    reached from the square root y of 8 t_n + 1, built from its set bits
+    (see above), in O(max_bits^2) big-int steps.
     """
-    hits = ((is_triangular(value), value) for value in _sieved_candidates(2 * max_bits - 1))
-    return sorted((n, value) for n, value in hits if n is not None)
+    width = 2 * max_bits - 1
+    return sorted([*_isqrt_hits(width), *_two_adic_hits(width)])
 
 
 def conjecture_no6(weight: int, max_bits: int) -> list[int]:
@@ -404,11 +428,11 @@ def popcount3_census(max_weight: int, max_bits: int) -> list[int]:
     """Every t_n with popcount exactly 3, over indexes n < 2^max_bits of
     binary weight at most max_weight, ascending.
 
-    Sieves the candidate values with at most three set bits by quadratic
-    residues and inverts only the survivors, so the cost is cubic in the
-    value bit length instead of exponential in max_weight.  The
-    exhaustive-classification claim is theorem backed for
-    max_weight <= 5; larger weights are exploratory.
+    Inverts the values with at most three set bits rather than walking
+    indexes, so the cost is quadratic in the value bit length instead
+    of exponential in max_weight.  The exhaustive-classification claim
+    is theorem backed for max_weight <= 5; larger weights are
+    exploratory.
     """
     _require(max_weight >= 1, f"max_weight must be >= 1, got {max_weight}")
     _require(max_bits >= 1, f"max_bits must be >= 1, got {max_bits}")
@@ -440,8 +464,10 @@ def ap_search(length: int, lo: int, hi: int, max_difference: int) -> list[ApHit]
     _require(length >= 3, f"length must be >= 3, got {length}")
     _require(1 <= lo <= hi, f"range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
     _require(max_difference >= 1, f"max_difference must be >= 1, got {max_difference}")
+    from .scanner import vt_flags
+
     top = hi + (length - 1) * max_difference
-    flags = scanner.vt_flags(lo, top)
+    flags = vt_flags(lo, top)
     width = hi - lo + 1
     found: list[tuple[int, int]] = []
     for difference in range(1, max_difference + 1):
@@ -449,7 +475,7 @@ def ap_search(length: int, lo: int, hi: int, max_difference: int) -> list[ApHit]
         for j in range(1, length):
             offset = j * difference
             mask &= flags[offset : offset + width]
-        for i in np.flatnonzero(mask):
+        for i in mask.nonzero()[0]:
             found.append((lo + int(i), difference))
     found.sort()
     return [ApHit(first, difference, length) for first, difference in found]

@@ -25,6 +25,10 @@ value is a usage error) but change nothing.  Output that comes in more
 than one piece is written to stdout from the second piece on, each by a
 thread of its own, while the calling thread makes the next piece.
 
+Only the verbs that classify index ranges (scan, runs, twins, sigma,
+density, bertrand, ap) import the numpy scanner, when they run; the
+others, the sweeps and ``--version`` among them, start without numpy.
+
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
 as decimal strings so float-based JSON consumers cannot corrupt them;
@@ -55,7 +59,16 @@ from .analysis import (
     periodicity_identity,
     popcount3_census,
 )
-from .core import ParameterError, is_triangular
+from .core import (
+    _CSV_HEADER,
+    CheckpointError,
+    ParameterError,
+    VtRecord,
+    _format_exact,
+    _require_format,
+    classify_index,
+    is_triangular,
+)
 from .families import (
     block_witness,
     family_even,
@@ -63,20 +76,6 @@ from .families import (
     family_power_minus,
     power_exclusion,
     twin_pair,
-)
-from .scanner import (
-    _CSV_HEADER,
-    _format_runs,
-    _require_format,
-    _run_stream,
-    CheckpointError,
-    VtRecord,
-    checkpoint_resume,
-    checkpoint_save,
-    classify_index,
-    format_block,
-    sigma_enumerate,
-    stream_scan,
 )
 
 __all__ = ["emit", "dispatch", "main"]
@@ -86,7 +85,7 @@ def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
     """Serialize records into the byte-exact jsonl or csv stream.
 
     The output is identical to what the scanner's chunked stream
-    produces for the same records.
+    produces for the same records, and is made without numpy.
     """
     _require_format(fmt)
     records = list(records)
@@ -97,7 +96,7 @@ def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
         [r.is_vt for r in records],
     )
     header = _CSV_HEADER if fmt == "csv" else b""
-    return iter([header + format_block(rows, fmt)])
+    return iter([header + _format_exact(rows, fmt)])
 
 
 class _OutputError(Exception):
@@ -245,8 +244,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     checkpoint never points past a byte that is not out, and none is
     saved for a block whose bytes failed to write.
     """
-    resume = None
-    if args.checkpoint is not None and os.path.exists(args.checkpoint):
+    found = args.checkpoint is not None and os.path.exists(args.checkpoint)
+    if found:
         with _checkpoint_file(args.checkpoint):
             info, cap = os.stat(args.checkpoint), _checkpoint_cap(args.to)
             if stat.S_ISREG(info.st_mode) and info.st_size > cap:
@@ -254,6 +253,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     f"cannot use checkpoint {args.checkpoint}: {info.st_size} bytes, "
                     f"more than any checkpoint of this scan ({cap})"
                 )
+    # numpy comes with the scanner, so a checkpoint rejected above costs none of it
+    from .scanner import checkpoint_resume, checkpoint_save, stream_scan
+
+    resume = None
+    if found:
+        with _checkpoint_file(args.checkpoint):
             resume = checkpoint_resume(args.checkpoint)
     last_state = resume
     with _Stdout() as out:
@@ -280,6 +285,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _write_runs(lo: int, hi: int, min_len: int, threads: int) -> int:
     """One jsonl line per run of find_runs(lo, hi, min_len), written chunk by chunk."""
+    from .scanner import _format_runs, _run_stream
+
     with _Stdout() as out:
         for runs in _run_stream(lo, hi, min_len, threads=threads):
             # runs is kept while the next chunk is classified: freed first,
@@ -287,6 +294,7 @@ def _write_runs(lo: int, hi: int, min_len: int, threads: int) -> int:
             # page faults over 2.5e7 indexes)
             for piece in _format_runs(runs):
                 out.write(piece)
+            piece = None  # written: not kept while the next chunk is classified
     return 0
 
 
@@ -299,6 +307,8 @@ def _cmd_twins(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
+    from .scanner import sigma_enumerate
+
     records = [classify_index(n) for n in sigma_enumerate(args.count)]
     _write(emit(records, args.emit))
     return 0

@@ -1,5 +1,5 @@
 """Exact integer primitives: triangular numbers, popcounts, and the
-predicates built from them.
+predicates built from them; one classified record and its bytes.
 
 A triangular number is t_n = n(n+1)/2 with n >= 1, and a value is *very
 triangular* when it is triangular and its binary representation contains
@@ -7,10 +7,15 @@ a triangular number of 1 bits.  Everything here operates on plain Python
 integers, so results are exact at any size; the vectorized one-word
 and limb kernels used for bulk scanning live in :mod:`vtnum.scanner`
 and are cross-checked against these functions in the test suite.
+
+Nothing here imports numpy: the verbs that print a few records, and the
+checkpoint errors the CLI reports, need no more than this module.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "Nat",
@@ -25,6 +30,12 @@ __all__ = [
     "is_very_triangular_index",
     "popcount_of_triangular",
     "binary_string",
+    "VtRecord",
+    "classify_index",
+    "CheckpointError",
+    "CheckpointVersionError",
+    "CheckpointCorruptError",
+    "CheckpointStateError",
 ]
 
 # Documentation aliases.  A Nat is a non-negative int of any magnitude;
@@ -120,3 +131,67 @@ def binary_string(x: int) -> str:
     if x < 0:
         raise ParameterError(f"binary_string needs a non-negative integer, got {_brief(x)}")
     return format(x, "b")
+
+
+@dataclass(frozen=True)
+class VtRecord:
+    """One classified triangular number."""
+
+    n: int
+    t: int
+    popcount: int
+    is_vt: bool
+
+
+def classify_index(n: int) -> VtRecord:
+    """Classify a single index exactly, at any size."""
+    t = triangular(n)
+    pc = t.bit_count()
+    return VtRecord(n, t, pc, is_triangular(pc) is not None)
+
+
+# ---------------------------------------------------------------------------
+# Record bytes
+
+_FORMATS = ("jsonl", "csv")
+
+_CSV_HEADER = b"n,t,pc,vt\n"
+
+# One line per record, the definition of each format's bytes.  The f-string
+# path calls it per record; the scanner's numpy kernel cuts its layout out of it.
+_LINES: dict[str, Callable[[object, object, int, bool], str]] = {
+    "jsonl": lambda n, t, pc, vt: (
+        f'{{"n":{n},"t":"{t}","pc":{pc},"vt":{"true" if vt else "false"}}}\n'
+    ),
+    "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
+}
+
+
+def _format_exact(columns: tuple, fmt: str) -> bytes:
+    """Records as (n, t, pc, vt) columns, one f-string per line: exact for any value."""
+    return "".join(map(_LINES[fmt], *columns)).encode("ascii")
+
+
+def _require_format(fmt: str) -> None:
+    if fmt not in _FORMATS:
+        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint errors (checkpoints themselves live in the scanner)
+
+
+class CheckpointError(Exception):
+    """Base class for checkpoint load failures."""
+
+
+class CheckpointVersionError(CheckpointError):
+    """The stored format_version is not supported."""
+
+
+class CheckpointCorruptError(CheckpointError):
+    """The payload is not a well-formed checkpoint document."""
+
+
+class CheckpointStateError(CheckpointError):
+    """Fields parse but fail the recompute or consistency checks."""

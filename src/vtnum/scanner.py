@@ -47,22 +47,36 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ParameterError, _brief, is_triangular, popcount_of_triangular, triangular
+# VtRecord, classify_index, the checkpoint errors and the record-bytes helpers
+# live in core, which needs no numpy; imported here too, they still resolve
+# as scanner attributes
+from .core import (
+    _CSV_HEADER,
+    _FORMATS,
+    _LINES,
+    CheckpointCorruptError,
+    CheckpointError,
+    CheckpointStateError,
+    CheckpointVersionError,
+    ParameterError,
+    VtRecord,
+    _brief,
+    _format_exact,
+    _require_format,
+    classify_index,
+    is_triangular,
+    popcount_of_triangular,
+    triangular,
+)
 
 __all__ = [
     "DEFAULT_CHUNK",
     "FAST_INDEX_LIMIT",
     "CHECKPOINT_VERSION",
-    "VtRecord",
     "Run",
     "ScanSummary",
     "ScanCheckpoint",
-    "CheckpointError",
-    "CheckpointVersionError",
-    "CheckpointCorruptError",
-    "CheckpointStateError",
     "StreamBlock",
-    "classify_index",
     "scan",
     "resume_scan",
     "merge_summaries",
@@ -89,26 +103,6 @@ FAST_INDEX_LIMIT = 6074000999
 # the limb kernel i * a_j + c_j + carry stays below 2^48 for i below it.
 _LIMB_BLOCK = 1 << 15
 _LOW32 = np.uint64(0xFFFFFFFF)
-
-_FORMATS = ("jsonl", "csv")
-
-
-@dataclass(frozen=True)
-class VtRecord:
-    """One classified triangular number."""
-
-    n: int
-    t: int
-    popcount: int
-    is_vt: bool
-
-
-def classify_index(n: int) -> VtRecord:
-    """Classify a single index exactly, at any size."""
-    t = triangular(n)
-    pc = t.bit_count()
-    return VtRecord(n, t, pc, is_triangular(pc) is not None)
-
 
 @dataclass(frozen=True)
 class Run:
@@ -179,22 +173,6 @@ class ScanCheckpoint:
     open_run: tuple[int, int] | None
     current_t: int
     fmt: str | None = "jsonl"
-
-
-class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """The stored format_version is not supported."""
-
-
-class CheckpointCorruptError(CheckpointError):
-    """The payload is not a well-formed checkpoint document."""
-
-
-class CheckpointStateError(CheckpointError):
-    """Fields parse but fail the recompute or consistency checks."""
 
 
 def checkpoint_save(state: ScanCheckpoint, destination: str | os.PathLike[str]) -> None:
@@ -881,17 +859,6 @@ def vt_flags(lo: int, hi: int) -> np.ndarray:
 # Byte streams
 
 
-_CSV_HEADER = b"n,t,pc,vt\n"
-
-# One line per record, the definition of each format's bytes.  The f-string
-# path calls it per record; the numpy kernel cuts its layout out of it.
-_LINES: dict[str, Callable[[object, object, int, bool], str]] = {
-    "jsonl": lambda n, t, pc, vt: (
-        f'{{"n":{n},"t":"{t}","pc":{pc},"vt":{"true" if vt else "false"}}}\n'
-    ),
-    "csv": lambda n, t, pc, vt: f"{n},{t},{pc},{'true' if vt else 'false'}\n",
-}
-
 # rows per stream piece, and per pass of the run kernel: its columns stay below 2^32
 _FORMAT_BLOCK = _LIMB_BLOCK
 _E4 = 10**4
@@ -1133,11 +1100,6 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
         yield buf.translate(None, b"\0")
 
 
-def _format_exact(columns: tuple, fmt: str) -> bytes:
-    """The f-string path of :func:`format_block`, exact for any value."""
-    return "".join(map(_LINES[fmt], *columns)).encode("ascii")
-
-
 def format_block(columns: tuple, fmt: str) -> bytes:
     """Serialize classified rows to the byte-exact jsonl or csv body.
 
@@ -1263,8 +1225,3 @@ def _require_threads(threads: int) -> None:
 def _require_chunk(chunk_size: int) -> None:
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-
-
-def _require_format(fmt: str) -> None:
-    if fmt not in _FORMATS:
-        raise ParameterError(f"unsupported format {fmt!r} (expected jsonl or csv)")

@@ -11,6 +11,7 @@ import math
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 
@@ -120,6 +121,66 @@ def ref_low_popcount_triangulars(max_bits):
     return sorted(hits)
 
 
+# The residue sieve, the engine the 2-adic one replaced, kept as a second
+# oracle: it reaches every bit width the engine's tests use.  8v + 1 is a
+# square when v is triangular, so a value whose 8v + 1 is a non-square
+# modulo some m cannot be triangular (Cohen, A Course in Computational
+# Algebraic Number Theory, 1.7.2).  Powers of two tell nothing here:
+# 8v + 1 = 1 (mod 8) is a square modulo every 2^e.  Each modulus is a
+# product of two odd factors, so its table stays small while at most 28%
+# of its residues are squares (8% modulo 63 * 65).
+
+
+def _square_residues(m):
+    """Boolean table over residues mod m: True exactly at the squares."""
+    table = np.zeros(m, dtype=bool)
+    table[np.arange(m) ** 2 % m] = True
+    return table
+
+
+SQUARE_TABLES = tuple(
+    (m, _square_residues(m))
+    for m in (63 * 65, 11 * 31, 17 * 257, 19 * 37, 23 * 89, 29 * 43, 13 * 241)
+)
+
+
+def _sieved_candidates(width):
+    """Values with 1 to 3 set bits below 2^width that pass the residue sieve.
+
+    Values with one set bit are yielded unsieved.  Those with two or
+    three are 2^top + 2^high + 2^low (top absent for two), so 8v + 1
+    modulo m is a sum of table entries 8 * 2^i mod m.  The pairs
+    low < high come ordered by high, so the pairs below a top bit a are
+    the first a(a-1)/2 of them, and one top bit is sieved at a time.
+    """
+    yield from (1 << i for i in range(width))
+    high, low = np.tril_indices(width, -1)
+    residues = [
+        np.array([8 * pow(2, i, m) % m for i in range(width)], dtype=np.int32)
+        for m, _ in SQUARE_TABLES
+    ]
+    pair_sums = [r[high] + r[low] for r in residues]
+    tops = [(None, len(high))] + [(a, a * (a - 1) // 2) for a in range(2, width)]
+    for top, count in tops:
+        keep = np.arange(count)
+        for (m, squares), r, sums in zip(SQUARE_TABLES, residues, pair_sums):
+            offset = 1 if top is None else 1 + int(r[top])
+            keep = keep[squares[(sums[keep] + offset) % m]]
+        base = 0 if top is None else 1 << top
+        for h, l in zip(high[keep].tolist(), low[keep].tolist()):
+            yield base | 1 << h | 1 << l
+
+
+def ref_sieved_low_popcount_triangulars(max_bits):
+    """ref_low_popcount_triangulars, with the residue sieve in front of the square roots."""
+    hits = []
+    for value in _sieved_candidates(2 * max_bits - 1):
+        root = math.isqrt(8 * value + 1)
+        if root * root == 8 * value + 1:
+            hits.append(((root - 1) // 2, value))
+    return sorted(hits)
+
+
 class Reference:
     triangular = staticmethod(ref_triangular)
     popcount = staticmethod(ref_popcount)
@@ -131,6 +192,7 @@ class Reference:
     run_lines = staticmethod(ref_run_lines)
     record_lines = staticmethod(ref_record_lines)
     low_popcount_triangulars = staticmethod(ref_low_popcount_triangulars)
+    sieved_low_popcount_triangulars = staticmethod(ref_sieved_low_popcount_triangulars)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,9 @@ from vtnum import (
     triangular,
     weight_enumerate,
 )
-from vtnum.analysis import _SQUARE_TABLES, _low_popcount_triangulars
+from vtnum.analysis import _low_popcount_triangulars, _two_adic_root
+
+from conftest import SQUARE_TABLES
 
 
 class TestDensity:
@@ -283,6 +285,24 @@ class TestLowPopcountEngine:
     def test_agrees_with_unsieved_inversion(self, bits, ref):
         assert _low_popcount_triangulars(bits) == ref.low_popcount_triangulars(bits)
 
+    @pytest.mark.parametrize("bits", [*range(1, 65), 96, 128, 192, 256])
+    def test_agrees_with_the_residue_sieve(self, bits, ref):
+        assert _low_popcount_triangulars(bits) == ref.sieved_low_popcount_triangulars(bits)
+
+    def test_hits_at_256_bits_are_the_powers_and_six_more(self):
+        # observed for every width checked: B + 6 hits, n = 2^0 .. 2^(B-1)
+        # (t_(2^k) = 2^(2k-1) + 2^(k-1)) and six small indexes
+        hits = _low_popcount_triangulars(256)
+        assert [n for n, _ in hits] == sorted([*(1 << k for k in range(256)), 3, 6, 7, 11, 23, 55])
+        assert all(t == n * (n + 1) // 2 for n, t in hits)
+
+    @pytest.mark.parametrize("c", [0, 1, 5, 60, 300])
+    def test_two_adic_root(self, c):
+        value = 1 + (8 << c)
+        for bits in (3, 4, 10, 64, 700):
+            root = _two_adic_root(value, bits)
+            assert 0 <= root < 1 << bits and (root * root - value) % (1 << bits) == 0
+
     def test_hits_at_128_bits(self, ref):
         hits = _low_popcount_triangulars(128)
         assert len(hits) == 134
@@ -299,7 +319,7 @@ class TestLowPopcountEngine:
 
 
 class TestResidueSieve:
-    @pytest.mark.parametrize("m, squares", _SQUARE_TABLES, ids=[str(m) for m, _ in _SQUARE_TABLES])
+    @pytest.mark.parametrize("m, squares", SQUARE_TABLES, ids=[str(m) for m, _ in SQUARE_TABLES])
     def test_accepts_every_triangular_residue(self, m, squares, ref):
         # t_n mod m repeats with period dividing 2m in n
         rejected = [n for n in range(2 * m) if not squares[(8 * ref.triangular(n) + 1) % m]]

@@ -24,7 +24,7 @@ from vtnum import (
     format_block,
     stream_scan,
 )
-from vtnum import cli
+from vtnum import cli, scanner
 from vtnum.cli import dispatch, emit, main
 
 
@@ -431,6 +431,27 @@ class TestRunsAndTwins:
             peaks.append(peak)
         assert max(peaks) < 12 * 2**20
         assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+    def test_no_piece_is_held_while_the_next_chunk_is_classified(self, monkeypatch, capsysbinary):
+        # a chunk's last run piece (about 2 MB of lines) held in _write_runs
+        # through the next classification raised `vt twins`' peak RSS by 3 MB
+        held = []
+        classify = scanner._classify
+
+        def watching(lo, hi):
+            frame = sys._getframe(1)
+            while frame.f_code is not cli._write_runs.__code__:
+                frame = frame.f_back
+            pieces = [v for v in frame.f_locals.values() if isinstance(v, (bytes, bytearray))]
+            held.append(len(pieces))
+            return classify(lo, hi)
+
+        monkeypatch.setattr(scanner, "_classify", watching)
+        lo = 2**31 + 12345
+        code, out, _ = run_cli(["twins", "--from", str(lo), "--to", str(lo + 3 * 2**20)], capsysbinary)
+        assert code == 0 and out.count(b"\n") > 40000
+        assert held == [0, 0, 0, 0]
 
 
 class TestSigma:
@@ -862,7 +883,7 @@ class TestCheckpointBarrier:
             snapshots.append((state.next, bytes(out.data), bytes(out.pending)))
             checkpoint_save(state, destination)
 
-        monkeypatch.setattr(cli, "checkpoint_save", snapshot_then_save)
+        monkeypatch.setattr(scanner, "checkpoint_save", snapshot_then_save)
         out = _FlushedOnly()
         monkeypatch.setattr(sys, "stdout", out)
         assert dispatch(argv) == 0
@@ -879,7 +900,7 @@ class TestCheckpointBarrier:
             checkpoint_save(state, destination)
             raise Crash
 
-        monkeypatch.setattr(cli, "checkpoint_save", save_then_crash)
+        monkeypatch.setattr(scanner, "checkpoint_save", save_then_crash)
         out = _FlushedOnly()
         monkeypatch.setattr(sys, "stdout", out)
         with pytest.raises(Crash):
@@ -887,7 +908,7 @@ class TestCheckpointBarrier:
         interrupted = bytes(out.data)
         assert interrupted == expected(2**20 + 1)
 
-        monkeypatch.setattr(cli, "checkpoint_save", checkpoint_save)
+        monkeypatch.setattr(scanner, "checkpoint_save", checkpoint_save)
         out = _FlushedOnly()
         monkeypatch.setattr(sys, "stdout", out)
         assert dispatch(argv) == 0
@@ -1278,6 +1299,32 @@ class TestSubprocessSurface:
         assert code == 130
         assert b"Traceback" not in err
         assert want and out.startswith(want) and out.endswith(b"\n")
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["--version"], False),
+            (["check", "7", "21"], False),
+            (["check", "--value", "21"], False),
+            (["family", "twin", "--k", "6"], False),
+            (["periodicity", "--n", "6", "--k", "1"], False),
+            (["gaps", "--k", "28"], False),
+            (["conjecture", "--weight", "6", "--max-bits", "24"], False),
+            (["census", "--max-weight", "5", "--max-bits", "40"], False),
+            (["scan", "--from", "1", "--to", "50"], True),
+            (["runs", "--from", "1", "--to", "50"], True),
+        ],
+    )
+    def test_only_the_verbs_that_classify_ranges_import_numpy(self, argv, loads_numpy):
+        probe = (
+            "import sys\n"
+            "from vtnum.cli import dispatch\n"
+            "code = dispatch(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
 
     def test_identical_argv_identical_bytes(self):
         argv = [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", "5000"]

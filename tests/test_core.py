@@ -1,4 +1,7 @@
 """Exact-arithmetic primitives."""
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -227,3 +230,39 @@ class TestPackageNames:
         assert vtnum.__all__ == expected
         assert len(set(vtnum.__all__)) == len(vtnum.__all__)
         assert [name for name in vtnum.__all__ if not hasattr(vtnum, name)] == []
+        # the package knows the scanner's names before it imports the scanner
+        assert list(vtnum._SCANNER_NAMES) == scanner.__all__
+
+    def test_record_and_checkpoint_error_names_moved_to_core(self):
+        from vtnum import core, scanner
+
+        moved = ["VtRecord", "classify_index", "CheckpointError", "CheckpointVersionError",
+                 "CheckpointCorruptError", "CheckpointStateError"]
+        assert [name for name in moved if name not in core.__all__] == []
+        assert [name for name in moved if name in scanner.__all__] == []
+        # still bound in the scanner, where they were defined before
+        assert [name for name in moved if getattr(scanner, name) is not getattr(core, name)] == []
+
+    def test_star_import_and_dir_give_every_name(self):
+        import vtnum
+
+        names = {}
+        exec("from vtnum import *", names)
+        del names["__builtins__"]
+        assert sorted(names) == sorted(vtnum.__all__)
+        assert all(names[name] is getattr(vtnum, name) for name in vtnum.__all__)
+        public = {name for name in dir(vtnum) if not name.startswith("_")} - {"cli"}
+        assert public == set(vtnum.__all__) - {"__version__"} | {
+            "analysis", "core", "families", "scanner"
+        }
+
+    def test_importing_the_package_does_not_import_numpy(self):
+        probe = (
+            "import sys, vtnum\n"
+            "before = 'numpy' in sys.modules\n"
+            "vtnum.count_vt(1, 21)\n"
+            "print(before, 'numpy' in sys.modules, vtnum.count_vt(1, 21))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout == "False True 5\n"
