@@ -41,6 +41,7 @@ import math
 import os
 import re
 import stat
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
@@ -859,8 +860,8 @@ def vt_flags(lo: int, hi: int) -> np.ndarray:
 # Byte streams
 
 
-# rows per stream piece, and per pass of the run kernel: its columns stay below 2^32
-_FORMAT_BLOCK = _LIMB_BLOCK
+# runs per pass of the run kernel: shorter passes cost `vt twins` page faults
+_RUN_PASS = 1 << 15
 _E4 = 10**4
 # entry i holds the ASCII bytes of i as four zero-padded digits, as one uint32
 _DIGIT_GROUPS = (
@@ -885,7 +886,7 @@ def _word_table(texts: list[str]) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _row_layout(fmt: str, bits: int) -> tuple[np.void, np.void, np.ndarray]:
     """A format's line cut around n and t, as numpy void items: the bytes before
-    n, those between n and t, and a table whose item [pc, vt] holds the rest,
+    n, those between n and t, and a table whose item 2*pc + vt holds the rest,
     NUL padded on the right to the longest tail, for pc <= bits."""
     line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
@@ -893,7 +894,7 @@ def _row_layout(fmt: str, bits: int) -> tuple[np.void, np.void, np.ndarray]:
     width = max(map(len, tails))
     table = np.frombuffer("".join(tail.ljust(width, "\0") for tail in tails).encode(), f"V{width}")
     mid = rest.partition("\2")[0]
-    return np.void(lead.encode()), np.void(mid.encode()), table.reshape(bits + 1, 2)
+    return np.void(lead.encode()), np.void(mid.encode()), table
 
 
 def _groups(x: int, count: int) -> list[int]:
@@ -935,12 +936,16 @@ def _put_groups(field: np.ndarray, base: int, step: int, first: np.ndarray) -> N
     i = _block_tables(np.uint32)[0][:rows]
     top = (rows - 1) * step + int(first[-1])
     low = min(width, (top.bit_length() * 3011 + 39999) // 40000)
-    carry, product = first.copy(), np.empty(rows, dtype=np.uint32)
+    # floor_divide by a scalar is several times faster than divmod; the
+    # remainder is written once, as field's columns are strided
+    carry, (quotient, product) = first.copy(), np.empty((2, rows), dtype=np.uint32)
     for j, (step_j, base_j) in enumerate(zip(_groups(step, low), _groups(base, low))):
         if step_j:
             carry += np.multiply(i, step_j, out=product)
         carry += base_j
-        np.divmod(carry, _E4, out=(carry, field[:, width - 1 - j]))
+        np.floor_divide(carry, _E4, out=quotient)
+        np.subtract(carry, np.multiply(quotient, _E4, out=product), out=field[:, width - 1 - j])
+        carry, quotient = quotient, carry
     high, switch = base // _E4**low, rows - int(np.count_nonzero(carry))
     field[:switch, : width - low] = _groups(high, width - low)[::-1]
     if switch < rows:
@@ -956,9 +961,11 @@ def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
     return _DIGIT_GROUPS.take(groups).view(f"V{4 * groups.shape[1]}")[:, 0]
 
 
-# rows per cell of the record kernel: a cell's digit groups stay cache
-# sized, and its i and t_i below 2^15
+# rows per cell of the record kernel, and per stream piece: a cell's digit
+# groups stay cache sized, and its i and t_i below 2^15
 _CELL_ROWS = 1 << 13
+# one layout buffer per formatting thread, kept while pieces need its size
+_LAYOUT = threading.local()
 
 
 def _cells(n_runs: list, t_runs: list) -> list[tuple[int, int, int, int]]:
@@ -990,6 +997,12 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
     NULs are the padding of short tails and the headroom, so deleting
     them at the end costs about a copy.
 
+    The rows are laid out in the calling thread's buffer, reused while
+    the layout keeps its size, so that pieces do not fault fresh heap
+    pages in.  Every byte of it is written on each call (the fields
+    cover each row, and each headroom is zeroed), so no byte of an
+    earlier piece is left in it; the piece returned is a copy.
+
     A field's digit groups are copied so that its last digit lands on
     its last byte: the up to 3 zeros that pad its top group to four
     digits land just before the field.  Hence the write order t, n,
@@ -1004,7 +1017,10 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
     lead, mid, tails = _row_layout(fmt, triangular(ns[-1]).bit_length())
     fixed = lead.itemsize + mid.itemsize + tails.itemsize
     cells = _cells(n_runs, t_runs)
-    buf = bytearray(sum(4 + (stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells))
+    size = sum(4 + (stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells)
+    buf = getattr(_LAYOUT, "buf", None)
+    if buf is None or len(buf) != size:
+        buf = _LAYOUT.buf = bytearray(size)
     i, t_i = _block_tables(np.uint32)
     at = 4  # past the headroom
     for start, stop, dn, dt in cells:
@@ -1022,14 +1038,12 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
         column(n_end, digits.dtype)[...] = digits
         column(lead.itemsize, lead.dtype)[...] = lead
         column(n_end + mid.itemsize, mid.dtype)[...] = mid
-        column(width, tails.dtype)[...] = tails[pcs[start:stop], vts[start:stop].view(np.uint8)]
+        codes = np.multiply(pcs[start:stop], 2, dtype=np.intp)
+        codes += vts[start:stop]
+        column(width, tails.dtype)[...] = tails.take(codes)
         buf[at - 4 : at] = bytes(4)
         at += rows * width + 4
-    # in place: the piece keeps buf's allocation, so one freed heap block
-    # of that size takes the next piece's buffer (1 MB less peak RSS on
-    # vt scan than a new bytearray of the piece's own size)
-    buf[:] = buf.replace(b"\0", b"")
-    return buf
+    return buf.replace(b"\0", b"")
 
 
 # A run's jsonl line, as `vt runs` prints it, is
@@ -1054,7 +1068,7 @@ def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
-    """The jsonl lines of runs, one pass of at most _FORMAT_BLOCK runs at a time.
+    """The jsonl lines of runs, one pass of at most _RUN_PASS runs at a time.
 
     As in :func:`_format_range`, a pass fills a matrix with one NUL padded
     row of uint32 words per run, then deletes its NUL bytes.  The start
@@ -1065,8 +1079,8 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
     last that ends the line with the truncation flags.
     """
     heads, tails = _run_tables(triangular(runs.lo + runs.pcs.size - 1).bit_length())
-    for p in range(0, runs.starts.size, _FORMAT_BLOCK):
-        starts = runs.starts[p : p + _FORMAT_BLOCK]
+    for p in range(0, runs.starts.size, _RUN_PASS):
+        starts = runs.starts[p : p + _RUN_PASS]
         lengths, flags = runs.lengths[p : p + starts.size], runs.flags[p : p + starts.size]
         top = int(starts[-1])
         s_runs = _digit_runs(
@@ -1138,7 +1152,7 @@ class StreamBlock:
     chunk: _Chunk = field(compare=False, repr=False)
 
     def pieces(self) -> Iterator[bytes]:
-        """The block's bytes, one :func:`format_block` kernel pass of _FORMAT_BLOCK rows at a time.
+        """The block's bytes, one :func:`format_block` call of _CELL_ROWS rows at a time.
 
         The first piece carries the header, if any.  Only the piece being
         formatted is built, so a consumer holds the pieces it has taken
@@ -1147,9 +1161,9 @@ class StreamBlock:
         """
         header = self.header
         size = self.chunk.vts.size
-        for a in range(0, size, _FORMAT_BLOCK):
+        for a in range(0, size, _CELL_ROWS):
             # format_block is looked up per call, so wrapping the module's name traces it
-            columns = self.chunk.columns(a, min(a + _FORMAT_BLOCK, size))
+            columns = self.chunk.columns(a, min(a + _CELL_ROWS, size))
             piece = format_block(columns, self.checkpoint.fmt)
             if header:
                 piece, header = header + piece, b""

@@ -26,6 +26,7 @@ from vtnum import (
 )
 from vtnum import cli, scanner
 from vtnum.cli import dispatch, emit, main
+from vtnum.scanner import _CELL_ROWS
 
 
 def run_cli(argv, capsysbinary):
@@ -810,8 +811,8 @@ class TestOutputThread:
         [
             (["check", "7"], 0),
             (["family", "even", "--ell", "2", "--n", "4"], 0),
-            (["scan", "--from", "1", "--to", str(2**15)], 0),  # one piece
-            (["scan", "--from", "1", "--to", str(2**15 + 1)], 1),  # two
+            (["scan", "--from", "1", "--to", str(_CELL_ROWS)], 0),  # one piece
+            (["scan", "--from", "1", "--to", str(_CELL_ROWS + 1)], 1),  # two
         ],
     )
     def test_a_thread_only_for_a_second_piece(self, argv, threads, capsysbinary, monkeypatch):
@@ -831,7 +832,7 @@ class TestOutputThread:
     @pytest.mark.parametrize(
         "argv,pieces",
         [
-            (["scan", "--from", "1", "--to", str(2**17 + 1)], 5),  # one chunk
+            (["scan", "--from", "1", "--to", str(4 * _CELL_ROWS + 1)], 5),  # one chunk
             (["twins", "--from", "1", "--to", str(2**21 + 2**12)], 3),  # three chunks
         ],
     )

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -44,8 +46,9 @@ from vtnum import scanner
 from vtnum.scanner import (
     _CSV_HEADER,
     _DIGIT_GROUPS,
-    _FORMAT_BLOCK,
+    _CELL_ROWS,
     _LIMB_BLOCK,
+    _RUN_PASS,
     _RunColumns,
     _RunTracker,
     _chunk_bounds,
@@ -206,8 +209,8 @@ class TestWordTier:
         assert chunk.rows()[1] == ts
         assert chunk.rows(1, len(ns))[1] == ts[1:]
         assert list(chunk.columns(0, len(ns))[1]) == ts
-        for a in range(0, len(ns), _FORMAT_BLOCK):
-            b = min(a + _FORMAT_BLOCK, len(ns))
+        for a in range(0, len(ns), _CELL_ROWS):
+            b = min(a + _CELL_ROWS, len(ns))
             piece_ns, piece_ts, _, _ = chunk.columns(a, b)
             assert list(piece_ns) == ns[a:b]
             assert list(piece_ts) == ts[a:b]
@@ -745,10 +748,10 @@ class TestRunStream:
         assert b"".join(_format_runs(columns)) == _column_lines(ref, columns)
 
     def test_kernel_across_passes(self, ref):
-        count = _FORMAT_BLOCK + 300
+        count = _RUN_PASS + 300
         lengths = np.tile([2, 3, 2, 1, 7], count // 5 + 1)[:count]
         starts = np.cumsum(np.append(0, lengths[:-1] + 1))
-        lo = 10**9 - int(starts[_FORMAT_BLOCK + 100])  # a digit step in the second pass
+        lo = 10**9 - int(starts[_RUN_PASS + 100])  # a digit step in the second pass
         size = int(starts[-1] + lengths[-1])
         bits = triangular(lo + size - 1).bit_length()
         pcs = np.random.default_rng(7).integers(0, bits + 1, size)
@@ -1312,8 +1315,8 @@ class TestWordFormatter:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_chunk_across_kernel_passes(self, ref, fmt):
         # n reaches 10^9 inside the second pass of one chunk
-        lo = 10**9 - _FORMAT_BLOCK - 100
-        hi = lo + 2 * _FORMAT_BLOCK + 5
+        lo = 10**9 - _CELL_ROWS - 100
+        hi = lo + 2 * _CELL_ROWS + 5
         got = b"".join(b.payload for b in stream_scan(lo, hi, fmt))
         assert got.removeprefix(_CSV_HEADER) == _format_exact(_ref_rows(ref, lo, hi), fmt)
 
@@ -1359,7 +1362,7 @@ class TestChunkFormatter:
     @pytest.mark.parametrize("edge", [10**8, 10**20, _first_index_reaching(10**40)])
     def test_edge_in_a_later_pass(self, ref, edge):
         # the step falls two rows into the second pass of one call
-        lo, hi = edge - _FORMAT_BLOCK - 2, edge + 2
+        lo, hi = edge - _CELL_ROWS - 2, edge + 2
         got = _kernel_bytes(lo, hi, "jsonl")
         assert got == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
 
@@ -1422,7 +1425,7 @@ class TestRowLayout:
     def test_csv_piece_starting_at_4k_plus_1_digit_n(self, ref, edge):
         # row 0 of the first piece is the first such n; the second piece
         # starts inside the run, and every cell cut falls on such an n
-        lo, hi = edge, edge + _FORMAT_BLOCK + 100
+        lo, hi = edge, edge + _CELL_ROWS + 100
         got = _stream_bytes(lo, hi, "csv")
         assert got == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
 
@@ -1454,15 +1457,78 @@ class TestRowLayout:
             assert _stream_bytes(lo, hi, fmt, chunk) == header + _format_exact(rows, fmt)
 
 
+class TestLayoutBuffer:
+    """Each thread lays pieces out in one buffer, reused while a piece needs
+    its size: no byte of one piece may show in another."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize(
+        "step", [10**4, 10**8, _first_index_reaching(10**9), _first_index_reaching(10**12)]
+    )
+    def test_equal_size_other_cells(self, ref, step, fmt):
+        # where n or t gains a digit, one piece starts at the step and one 4
+        # rows before it: its 4 shorter rows make room for the headroom of
+        # its second cell, so both need one buffer size
+        at_step, before = (step, step + 299), (step - 4, step + 295)
+        for first, second in ((at_step, before), (before, at_step)):
+            assert _kernel_bytes(*first, fmt) == _format_exact(_ref_rows(ref, *first), fmt)
+            buf = scanner._LAYOUT.buf
+            assert _kernel_bytes(*second, fmt) == _format_exact(_ref_rows(ref, *second), fmt)
+            assert scanner._LAYOUT.buf is buf
+
+    def test_threads_format_at_once(self, ref):
+        # both ranges' pieces need one buffer size: a buffer shared by the
+        # threads would mix their rows
+        ranges = [(lo, lo + 2 * _CELL_ROWS - 1) for lo in (2**31 + 1, 2**31 + 10**6)]
+        wrong, raised = [], []
+
+        def format_often(lo, hi):
+            want = _format_exact(_ref_rows(ref, lo, hi), "jsonl")
+            try:
+                for _ in range(20):
+                    if _stream_bytes(lo, hi, "jsonl") != want:
+                        wrong.append((lo, hi))
+            except Exception as exc:
+                raised.append(exc)
+
+        threads = [threading.Thread(target=format_often, args=r, daemon=True) for r in ranges]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the lock between the threads often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not raised and not wrong
+
+    def test_a_taken_piece_is_kept(self, ref):
+        lo, hi = 2**31 + 7, 2**31 + 3 * _CELL_ROWS + 6
+        pieces = next(stream_scan(lo, hi)).pieces()
+        first = next(pieces)
+        kept = bytes(first)
+        rest = b"".join(pieces)  # laid out in the buffer the first piece was
+        assert first == kept
+        assert first + rest == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
+
+
 # n gains a digit inside the one-word tier; t crosses 2^64 at the tier
 # limit; n reaches 2^64 + 2 inside the limb tier
 _PIECE_TIERS = [10**9 - 20_000, 6074001000 - 20_000, 2**64 + 2]
-_PIECE_CHUNKS = [1, 5, _FORMAT_BLOCK - 1, _FORMAT_BLOCK, _FORMAT_BLOCK + 1, 1 << 20]
+# chunks of about one piece, and of about four
+_PIECE_CHUNKS = [
+    1, 5,
+    _CELL_ROWS - 1, _CELL_ROWS, _CELL_ROWS + 1,
+    4 * _CELL_ROWS - 1, 4 * _CELL_ROWS, 4 * _CELL_ROWS + 1,
+    1 << 20,
+]
 
 
 def _piece_range(tier_lo, chunk):
-    """Two chunks and a short one, or one piece and a few rows past it."""
-    return tier_lo, tier_lo + min(2 * chunk, _FORMAT_BLOCK + 3) + 2
+    """Two chunks and a short one, or four pieces and a few rows past them."""
+    return tier_lo, tier_lo + min(2 * chunk, 4 * _CELL_ROWS + 3) + 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -1473,19 +1539,19 @@ def _whole_range_bytes(lo, hi, fmt):
 
 
 def _check_pieces(block):
-    """The block's pieces join to format_block over its whole chunk, each <= _FORMAT_BLOCK rows."""
+    """The block's pieces join to format_block over its whole chunk, each <= _CELL_ROWS rows."""
     pieces = list(block.pieces())
     size = block.chunk.vts.size
-    assert len(pieces) == -(-size // _FORMAT_BLOCK)
+    assert len(pieces) == -(-size // _CELL_ROWS)
     assert pieces[0].startswith(block.header)
-    assert max(p.count(b"\n") for p in pieces) <= _FORMAT_BLOCK + bool(block.header)
+    assert max(p.count(b"\n") for p in pieces) <= _CELL_ROWS + bool(block.header)
     whole = block.header + format_block(block.chunk.columns(0, size), block.checkpoint.fmt)
     assert b"".join(pieces) == whole
     return whole
 
 
 class TestStreamPieces:
-    """Blocks are formatted lazily, _FORMAT_BLOCK rows per piece."""
+    """Blocks are formatted lazily, _CELL_ROWS rows per piece."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -1502,7 +1568,7 @@ class TestStreamPieces:
     def test_csv_resume_suppresses_the_header(self, tier_lo, chunk):
         lo, hi = _piece_range(tier_lo, chunk)
         # the first block is cut short, so the resumed stream is never empty
-        first = next(stream_scan(lo, hi, "csv", chunk_size=min(chunk, _FORMAT_BLOCK // 2)))
+        first = next(stream_scan(lo, hi, "csv", chunk_size=min(chunk, _CELL_ROWS // 2)))
         assert first.header == _CSV_HEADER
         rest = list(stream_scan(lo, hi, "csv", chunk_size=chunk, resume=first.checkpoint))
         assert rest and all(block.header == b"" for block in rest)
@@ -1513,7 +1579,7 @@ class TestStreamPieces:
         lo = 2**31
         block = next(stream_scan(lo, lo + (1 << 20) - 1, "csv"))
         rows = [p.count(b"\n") for p in block.pieces()]
-        assert rows == [_FORMAT_BLOCK + 1] + [_FORMAT_BLOCK] * 31
+        assert rows == [_CELL_ROWS + 1] + [_CELL_ROWS] * ((1 << 20) // _CELL_ROWS - 1)
 
     def test_equality_ignores_the_chunk(self):
         a = next(stream_scan(1, 100, chunk_size=10))
