@@ -546,12 +546,16 @@ class _RunTracker:
     """Owns the run open at the scan frontier, and closes the runs behind it.
 
     ``open_run`` is the (start, length so far) of the run still open
-    after the last chunk fed, as checkpoints store it.  With
-    ``min_run_len`` None nothing else is tracked.  Otherwise each chunk
-    fed returns the runs it closes, as :class:`_RunColumns`: interior
-    runs shorter than min_run_len are dropped without being visited, and
-    runs touching either edge of the reporting range are always kept
-    (flagged as truncated) so adjacent summaries can be merged later.
+    after the last chunk fed, as checkpoints store it, and all that is
+    kept of it.  With ``min_run_len`` None nothing else is tracked.
+    Otherwise each chunk fed returns the runs it closes, as
+    :class:`_RunColumns`: interior runs shorter than min_run_len are
+    dropped without being visited, and runs touching either edge of the
+    reporting range are always kept (flagged as truncated) so adjacent
+    summaries can be merged later.  An open run is rejoined one way,
+    whether it grew over earlier chunks or was left open by a
+    checkpointed scan: :meth:`_open_popcounts` recomputes its popcounts
+    when it closes or at :meth:`finish`.
     """
 
     def __init__(
@@ -563,33 +567,28 @@ class _RunTracker:
         self.report_lo = report_lo
         self.min_run_len = min_run_len
         self.open_run = open_run
-        self.open_pcs = np.zeros(0, dtype=np.uint8)
-        if open_run is not None and min_run_len is not None:
-            # rejoin a run left open by a checkpointed scan
-            start, length = open_run
-            pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
-            self.open_pcs = np.array(pcs, dtype=np.min_scalar_type(max(pcs, default=0)))
 
     def _left(self, start: int) -> int:
         """1 if a run starting here is truncated on the left, else 0."""
         return int(start == self.report_lo and self.report_lo > 1)
 
+    def _open_popcounts(self) -> np.ndarray:
+        """The popcounts of the open run so far, recomputed from its indexes."""
+        start, length = self.open_run
+        pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
+        return np.array(pcs, dtype=np.min_scalar_type(max(pcs)))
+
     def feed(self, chunk: _Chunk) -> _RunColumns | None:
         """Advance past the chunk; return the runs it closes, or None when
         runs are not tracked or the whole chunk is VT."""
         m = chunk.vts.size
-        tracking = self.min_run_len is not None
         trail = _trailing_true(chunk.vts)
         if trail == m:
             # the whole chunk is VT: the open run grows, or starts here
             start, length = self.open_run or (chunk.lo, 0)
             self.open_run = (start, length + m)
-            if tracking:
-                self.open_pcs = np.concatenate((self.open_pcs, chunk.pcs))
             return None
-        closed = self._close_runs(chunk, m - trail) if tracking else None
-        if tracking:
-            self.open_pcs = chunk.pcs[m - trail :].copy()
+        closed = self._close_runs(chunk, m - trail) if self.min_run_len is not None else None
         self.open_run = (chunk.hi - trail + 1, trail) if trail else None
         return closed
 
@@ -597,7 +596,7 @@ class _RunTracker:
         """The runs that close inside the chunk, all before ``end``."""
         lo, pcs = chunk.lo, chunk.pcs
         if self.open_run is not None:  # it closes here: its earlier popcounts go first
-            lo, pcs = self.open_run[0], np.concatenate((self.open_pcs, pcs))
+            lo, pcs = self.open_run[0], np.concatenate((self._open_popcounts(), pcs))
         lead = _leading_true(chunk.vts)
         # indexes lead and end - 1 are both non-VT
         starts, stops = _long_runs(chunk.vts[lead:end], self.min_run_len)
@@ -614,7 +613,8 @@ class _RunTracker:
             return None
         start, length = self.open_run
         flags = np.array([self._left(start) + 2], dtype=np.uint8)
-        return _RunColumns(start, self.open_pcs, np.zeros(1, np.intp), np.array([length]), flags)
+        pcs = self._open_popcounts()
+        return _RunColumns(start, pcs, np.zeros(1, np.intp), np.array([length]), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -922,43 +922,40 @@ def _digit_runs(first: int, rows: int, reach: Callable[[int], int]) -> list[tupl
     return runs
 
 
-def _put_groups(field: np.ndarray, base: int, step: int, first: np.ndarray) -> None:
-    """Write base + i*step + first[i] into row i of field, a (rows, width) uint32 view.
+def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
+    """Item i holds the ASCII digits of base + i*step + first[i], zero padded on
+    the left to `digits` digits: one numpy void item per row, for rising values
+    below 10^digits; first is uint32.
 
-    The groups go most significant first.  Only the low groups vary, up
-    to 10^(4*low) > the largest increment (3011 / 40000 > log10(2) / 4):
-    column j < low is i*step_j + base_j plus the carry out of column
-    j - 1, first[i] being the first carry.  The carry out of the top one
-    is 0 up to some row and 1 from there on, as the values rise, so the
-    high groups are those of base // 10^(4*low) or of that plus 1.
+    Row i is built as base-10^4 groups, most significant first, and its
+    item starts past the zeros that pad the top group to four digits.
+    Only the low groups vary, up to 10^(4*low) > the largest increment
+    (3011 / 40000 > log10(2) / 4): column j < low is i*step_j + base_j
+    plus the carry out of column j - 1, first[i] being the first carry.
+    The carry out of the top one is 0 up to some row and 1 from there
+    on, as the values rise, so the high groups are those of
+    base // 10^(4*low) or of that plus 1.
     """
-    rows, width = field.shape
+    rows, width = first.size, -(-digits // 4)
+    groups = np.empty((rows, width), np.uint32)
     i = _block_tables(np.uint32)[0][:rows]
     top = (rows - 1) * step + int(first[-1])
     low = min(width, (top.bit_length() * 3011 + 39999) // 40000)
     # floor_divide by a scalar is several times faster than divmod; the
-    # remainder is written once, as field's columns are strided
+    # remainder is written once, as the columns of groups are strided
     carry, (quotient, product) = first.copy(), np.empty((2, rows), dtype=np.uint32)
     for j, (step_j, base_j) in enumerate(zip(_groups(step, low), _groups(base, low))):
         if step_j:
             carry += np.multiply(i, step_j, out=product)
         carry += base_j
         np.floor_divide(carry, _E4, out=quotient)
-        np.subtract(carry, np.multiply(quotient, _E4, out=product), out=field[:, width - 1 - j])
+        np.subtract(carry, np.multiply(quotient, _E4, out=product), out=groups[:, width - 1 - j])
         carry, quotient = quotient, carry
     high, switch = base // _E4**low, rows - int(np.count_nonzero(carry))
-    field[:switch, : width - low] = _groups(high, width - low)[::-1]
+    groups[:switch, : width - low] = _groups(high, width - low)[::-1]
     if switch < rows:
-        field[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
-
-
-def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
-    """Item i holds the ASCII digits of base + i*step + first[i], zero padded on
-    the left to whole base-10^4 groups: one numpy void item per row, where the
-    values have at most `digits` digits."""
-    groups = np.empty((first.size, -(-digits // 4)), np.uint32)
-    _put_groups(groups, base, step, first)
-    return _DIGIT_GROUPS.take(groups).view(f"V{4 * groups.shape[1]}")[:, 0]
+        groups[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
+    return np.ndarray(rows, f"V{digits}", _DIGIT_GROUPS.take(groups), 4 * width - digits, 4 * width)
 
 
 # rows per cell of the record kernel, and per stream piece: a cell's digit
@@ -971,12 +968,9 @@ _LAYOUT = threading.local()
 def _cells(n_runs: list, t_runs: list) -> list[tuple[int, int, int, int]]:
     """(start, stop, n digits, t digits) of each cell: a run of at most _CELL_ROWS
     rows where n and t keep one digit count."""
-    rows = n_runs[-1][1]
-    if len(n_runs) == len(t_runs) == 1 and rows <= _CELL_ROWS:
-        return [(0, rows, n_runs[0][2], t_runs[0][2])]
     cuts = {stop for _, stop, _ in n_runs} | {stop for _, stop, _ in t_runs}
     cells, start = [], 0
-    for stop in sorted(cuts.union(range(_CELL_ROWS, rows, _CELL_ROWS))):
+    for stop in sorted(cuts.union(range(_CELL_ROWS, n_runs[-1][1], _CELL_ROWS))):
         dn = next(d for _, end, d in n_runs if end > start)
         cells.append((start, stop, dn, next(d for _, end, d in t_runs if end > start)))
         start = stop
@@ -988,28 +982,19 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
 
     A cell is a run of at most _CELL_ROWS rows whose n and t keep one
     digit count (:func:`_cells`).  Its rows are exactly lead | n | mid |
-    t | tail, the tail NUL padded on the right to the longest, with 4
-    headroom bytes before the cell; each field is written as a column of
-    numpy void items, one per row.
-    From the cell's first index c, n = c + i and t = t_c + i*c + t_i, as
-    the classifiers build t, go in by :func:`_digits`: for i < 2^15 a
-    column of t stays below 2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only
-    NULs are the padding of short tails and the headroom, so deleting
-    them at the end costs about a copy.
+    t | tail, the tail NUL padded on the right to the longest.  The
+    fields are written in that order, each as a column of numpy void
+    items of its exact width, one per row.  From the cell's first index
+    c, n = c + i and t = t_c + i*c + t_i, as the classifiers build t, go
+    in by :func:`_digits`: for i < 2^15 a column of t stays below
+    2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only NULs are the padding of
+    short tails, so deleting them at the end costs about a copy.
 
     The rows are laid out in the calling thread's buffer, reused while
     the layout keeps its size, so that pieces do not fault fresh heap
-    pages in.  Every byte of it is written on each call (the fields
-    cover each row, and each headroom is zeroed), so no byte of an
-    earlier piece is left in it; the piece returned is a copy.
-
-    A field's digit groups are copied so that its last digit lands on
-    its last byte: the up to 3 zeros that pad its top group to four
-    digits land just before the field.  Hence the write order t, n,
-    lead, mid, tail, each later write covering the stray zeros of an
-    earlier one.  t's fall into mid, or in csv into mid and n's digits;
-    n's into lead, or in csv, whose lead is empty, into the tail of the
-    row before or into the headroom, which is zeroed last.
+    pages in.  The fields cover each row, so every byte of it is written
+    on each call and no byte of an earlier piece is left in it; the
+    piece returned is a copy.
     """
     a = ns.start
     n_runs = _digit_runs(a, len(ns), lambda k: 10**k - a)
@@ -1017,32 +1002,31 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
     lead, mid, tails = _row_layout(fmt, triangular(ns[-1]).bit_length())
     fixed = lead.itemsize + mid.itemsize + tails.itemsize
     cells = _cells(n_runs, t_runs)
-    size = sum(4 + (stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells)
+    size = sum((stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells)
     buf = getattr(_LAYOUT, "buf", None)
     if buf is None or len(buf) != size:
         buf = _LAYOUT.buf = bytearray(size)
     i, t_i = _block_tables(np.uint32)
-    at = 4  # past the headroom
+    at = 0
     for start, stop, dn, dt in cells:
         rows, width, c = stop - start, fixed + dn + dt, a + start
 
-        def column(end: int, item: np.dtype) -> np.ndarray:
-            """The item of each row of the cell that ends at byte `end` of the row."""
-            return np.ndarray(rows, item, buf, at + end - item.itemsize, width)
+        def fields() -> Iterator[np.ndarray]:
+            """The row's fields in order, each built once the one before is written:
+            holding all at once made pieces fault heap pages back in."""
+            yield lead
+            yield _digits(c, 0, i[:rows], dn)
+            yield mid
+            yield _digits(c * (c + 1) // 2, c, t_i[:rows], dt)
+            codes = np.multiply(pcs[start:stop], 2, dtype=np.intp)
+            codes += vts[start:stop]
+            yield tails.take(codes)
 
-        n_end = lead.itemsize + dn
-        t_end = n_end + mid.itemsize + dt
-        digits = _digits(c * (c + 1) // 2, c, t_i[:rows], dt)
-        column(t_end, digits.dtype)[...] = digits
-        digits = _digits(c, 0, i[:rows], dn)
-        column(n_end, digits.dtype)[...] = digits
-        column(lead.itemsize, lead.dtype)[...] = lead
-        column(n_end + mid.itemsize, mid.dtype)[...] = mid
-        codes = np.multiply(pcs[start:stop], 2, dtype=np.intp)
-        codes += vts[start:stop]
-        column(width, tails.dtype)[...] = tails.take(codes)
-        buf[at - 4 : at] = bytes(4)
-        at += rows * width + 4
+        end = at
+        for field in fields():
+            np.ndarray(rows, field.dtype, buf, end, width)[...] = field
+            end += field.dtype.itemsize
+        at += rows * width
     return buf.replace(b"\0", b"")
 
 
@@ -1070,13 +1054,14 @@ def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
 def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
     """The jsonl lines of runs, one pass of at most _RUN_PASS runs at a time.
 
-    As in :func:`_format_range`, a pass fills a matrix with one NUL padded
-    row of uint32 words per run, then deletes its NUL bytes.  The start
-    lo + starts[k] goes in by :func:`_put_groups`, the offsets rising as
-    n does there.  The rest of a row depends on the run's length, so the
-    runs of one length are laid out together: the words naming the
-    length, a table entry per popcount but the last, and one for the
-    last that ends the line with the truncation flags.
+    A pass fills a matrix with one NUL padded row of uint32 words per
+    run, then deletes its NUL bytes.  The start lo + starts[k] goes in
+    at its exact width by :func:`_digits`, the offsets rising as n does
+    in :func:`_format_range`: one call per run of starts with one digit
+    count.  The rest of a row depends on the run's length, so the runs
+    of one length are laid out together: the words naming the length, a
+    table entry per popcount but the last, and one for the last that
+    ends the line with the truncation flags.
     """
     heads, tails = _run_tables(triangular(runs.lo + runs.pcs.size - 1).bit_length())
     for p in range(0, runs.starts.size, _RUN_PASS):
@@ -1098,11 +1083,10 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
         buf = bytearray(4 * starts.size * width)
         rows = np.frombuffer(buf, np.uint32).reshape(starts.size, width)
         rows[:, :s_at] = _RUN_LEAD
-        field = rows[:, s_at:m_at]
-        _put_groups(field, runs.lo, 0, starts.astype(np.uint32))
-        field[...] = _DIGIT_GROUPS[field]
         for start, stop, digits in s_runs:
-            rows.view(np.uint8)[start:stop, 4 * s_at : 4 * m_at - digits] = 0
+            field = _digits(runs.lo, 0, starts[start:stop].astype(np.uint32), digits)
+            first = 4 * (start * width + s_at)  # the field's first byte in row `start`
+            np.ndarray(stop - start, field.dtype, buf, first, 4 * width)[...] = field
         for size, mid in mids.items():
             at = np.flatnonzero(lengths == size) if counts[size] < starts.size else slice(None)
             pcs = runs.pcs[starts[at, None] + np.arange(size)]

@@ -680,6 +680,7 @@ class TestRunStream:
             (FAST_INDEX_LIMIT - 3000, FAST_INDEX_LIMIT + 3000, 1 << 20),
             (2**64 - 600, 2**64 + 600, 5),
             (2**128 - 300, 2**128 + 400, 11),  # popcounts widen from uint8 to uint16
+            (2**66 - 5, 2**66 + 5, 1),  # twin_pair(66), rejoined across one-index chunks
         ],
     )
     @pytest.mark.parametrize("min_len", [1, 2, 6])
@@ -767,6 +768,27 @@ def test_digit_groups_are_the_percent_format():
     want = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), dtype=np.uint32)
     assert _DIGIT_GROUPS.dtype == want.dtype
     assert _DIGIT_GROUPS.tobytes() == want.tobytes()
+
+
+# digit counts 4k, where an item starts at its top group, and 4k + 1..3, where
+# it starts past the group's padding zeros; steps small enough for each
+_DIGIT_CASES = [
+    (digits, step)
+    for digits in (4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 21)
+    for step in (0, 7, 123457)
+    if 40 * (step + 3) < 10**digits
+]
+
+
+@pytest.mark.parametrize("digits,step", _DIGIT_CASES)
+def test_digits_are_the_zero_filled_values(digits, step):
+    # 40 rising values across 10^(4k), the largest such power below 10^digits
+    first = np.arange(0, 120, 3, dtype=np.uint32)
+    base = max(0, 10 ** (4 * ((digits - 1) // 4)) - 20 * (step + 3))
+    got = scanner._digits(base, step, first, digits)
+    want = [str(base + i * step + int(f)).zfill(digits) for i, f in enumerate(first)]
+    assert got.dtype.itemsize == digits
+    assert [item.decode("ascii") for item in got.tolist()] == want
 
 
 class TestMergeSummaries:
@@ -1410,16 +1432,15 @@ def _stream_bytes(lo, hi, fmt, chunk=1 << 20):
     return b"".join(piece for block in blocks for piece in block.pieces())
 
 
-# a field of 4k + 1 digits leaves 3 stray zeros before it; these are where n
-# reaches such a field (in csv the zeros fall into the tail of the row before,
-# or into the headroom before a cell's first row) and where t does (into mid,
-# and in csv into n)
+# a field of 4k + 1 digits starts past the 3 zeros that pad its top base-10^4
+# group; these are where n reaches such a field (in csv right after the tail
+# of the row before, or first in a cell) and where t does (right after mid)
 _N_STRAY_EDGES = [10**k for k in (4, 8, 12, 16, 20)]
 _T_STRAY_EDGES = [_first_index_reaching(10**k) for k in (4, 8, 12, 16, 20, 24, 40)]
 
 
 class TestRowLayout:
-    """The byte-exact rows where stray leading zeros and NUL padding land, against the oracle."""
+    """The byte-exact rows at fields of 4k + 1 digits and at NUL padded tails, against the oracle."""
 
     @pytest.mark.parametrize("edge", _N_STRAY_EDGES)
     def test_csv_piece_starting_at_4k_plus_1_digit_n(self, ref, edge):
@@ -1466,10 +1487,13 @@ class TestLayoutBuffer:
         "step", [10**4, 10**8, _first_index_reaching(10**9), _first_index_reaching(10**12)]
     )
     def test_equal_size_other_cells(self, ref, step, fmt):
-        # where n or t gains a digit, one piece starts at the step and one 4
-        # rows before it: its 4 shorter rows make room for the headroom of
-        # its second cell, so both need one buffer size
-        at_step, before = (step, step + 299), (step - 4, step + 295)
+        # where n or t gains a digit, one piece is one cell of 300 rows of
+        # `width` bytes from the step; the other starts `width` rows before
+        # the step, each of them a byte shorter, and ends a row later: both
+        # take 300 * width bytes, so they share one buffer size
+        t = step * (step + 1) // 2  # a two-digit pc and false: the widest row
+        width = len(_format_exact(([step], [t], [10], [False]), fmt))
+        at_step, before = (step, step + 299), (step - width, step + 300 - width)
         for first, second in ((at_step, before), (before, at_step)):
             assert _kernel_bytes(*first, fmt) == _format_exact(_ref_rows(ref, *first), fmt)
             buf = scanner._LAYOUT.buf
