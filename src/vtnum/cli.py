@@ -22,8 +22,8 @@ its check or stdout refuses the output, 2 on usage errors.  Identical
 argument vectors produce identical stdout bytes.  Classification runs on
 the calling thread: ``--threads`` and ``VT_THREADS`` are validated (a bad
 value is a usage error) but change nothing.  Output that comes in more
-than one piece is written to stdout from the second piece on, each by a
-thread of its own, while the calling thread makes the next piece.
+than one piece is written to stdout from the second piece on by one
+writer thread, while the calling thread makes the next piece.
 
 Only the verbs that classify index ranges (scan, runs, twins, sigma,
 density, bertrand, ap) import the numpy scanner, when they run; the
@@ -119,28 +119,33 @@ def _raise_write_error(error: Exception) -> NoReturn:
 
 
 class _Stdout:
-    """The command's stdout, each piece after the first written by a thread of its own.
+    """The command's stdout, written from the second piece on by one writer thread.
 
     :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it;
     with stdout closed from the start, the first write raises _OutputError.
     The first piece is written on the calling thread, as nothing is yet
-    made while it is written.  Each later piece gets a writer thread,
-    started once the writer of the piece before has ended: the caller
-    makes piece k + 1 while piece k is written, and holds no more pieces
-    than when it wrote each one itself.  :meth:`sync` returns once every
-    piece is written and flushed.  When a write or flush fails, no later
-    piece is started, and the caller's next write or sync raises the
-    error, as :func:`_raise_write_error` does.
+    made while it is written.  The second starts one ``vt-stdout`` thread
+    for the rest of the command, and each later piece is handed to it
+    through one slot once the piece before is written: the caller makes
+    piece k + 1 while piece k is written, and holds no more pieces than
+    when it wrote each one itself.  :meth:`sync` returns once every piece
+    is written and flushed.  When a write or flush fails, the writer
+    ends, no later piece is handed over, and the caller's next write or
+    sync raises the error, as :func:`_raise_write_error` does.
 
     On leaving the ``with`` block normally, every piece is written and
-    flushed.  On leaving it by an exception, the last writer is not
-    waited for: it may be blocked in a write that no reader drains.
+    flushed and the writer has ended.  On leaving it by an exception, the
+    writer is told to end but not waited for: it may be blocked in a
+    write that no reader drains.
     """
 
     def __init__(self) -> None:
         self._out: IO[bytes] | None = None  # stdout's buffer, looked up at the first write
         self._writer: threading.Thread | None = None
         self._error: Exception | None = None
+        self._slot = threading.Condition()  # guards the two fields below
+        self._piece: bytes | None = None  # handed to the writer and not yet written
+        self._closed = False  # no piece comes after the one in the slot
 
     def __enter__(self) -> _Stdout:
         return self
@@ -148,26 +153,51 @@ class _Stdout:
     def __exit__(self, kind: type | None, *_: object) -> None:
         if kind is None:
             self.sync()
+        with self._slot:
+            self._closed = True
+            self._slot.notify()
+        if kind is None and self._writer is not None:
+            self._writer.join()
 
     def write(self, piece: bytes) -> None:
-        """Write piece here if it is the first, else on a writer thread of its own."""
+        """Write piece here if it is the first, else hand it to the writer thread."""
         self.sync()
         if self._out is None:
             self._out = _stdout().buffer
             self._put_out(piece)
             self.sync()
             return
-        self._writer = threading.Thread(
-            target=self._put_out, args=(piece,), name="vt-stdout", daemon=True
-        )
-        self._writer.start()
+        with self._slot:
+            self._piece = piece
+            self._slot.notify()
+        if self._writer is None:
+            self._writer = threading.Thread(
+                target=self._write_handed, name="vt-stdout", daemon=True
+            )
+            self._writer.start()
 
     def sync(self) -> None:
         """Return once every piece is written and flushed."""
-        if self._writer is not None:
-            self._writer.join()
+        with self._slot:
+            while self._piece is not None:
+                self._slot.wait()
         if self._error is not None:
             _raise_write_error(self._error)
+
+    def _write_handed(self) -> None:
+        """The writer thread: write each piece put in the slot, until closed or a write fails."""
+        while self._error is None:
+            with self._slot:
+                while self._piece is None and not self._closed:
+                    self._slot.wait()
+                piece = self._piece
+            if piece is None:
+                return
+            self._put_out(piece)
+            piece = None  # written: the caller's reference is the last
+            with self._slot:
+                self._piece = None
+                self._slot.notify()
 
     def _put_out(self, piece: bytes) -> None:
         try:
@@ -238,7 +268,8 @@ def _checkpoint_cap(hi: int) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Stream the range's records, saving the checkpoint (if any) after each block.
 
-    Each piece is written on its own thread while the next is formatted.
+    Each piece after the first is written by the one writer thread while
+    the next is formatted.
     The barrier sits before each checkpoint save: out.sync() returns once
     every piece of the block is written and flushed, so a saved
     checkpoint never points past a byte that is not out, and none is
@@ -634,6 +665,11 @@ def _discard_stdout() -> None:
 
 
 def main() -> None:
+    # vtnum calls no BLAS routine, but numpy's OpenBLAS starts worker
+    # threads at import (one fewer than the CPUs) that spin waiting for
+    # work beside the scan; a value the user set is kept.  Set here, not
+    # at import: a library must not change its host program's environment
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # values are exact at any size: lift the 4300-digit int <-> str limit
     # (t_n reaches it near n = 10^2150) where this Python has one, and put
     # the caller's limit back before exiting

@@ -53,6 +53,10 @@ def traced_main(monkeypatch, argv):
             pass
 
     sink = CountingSink()
+    # main() sets OPENBLAS_NUM_THREADS when it is unset: set it to what
+    # main() would, so that monkeypatch restores the environment afterwards
+    # and no later subprocess test inherits the value
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=sink, flush=sink.flush))
     monkeypatch.setattr(sys, "argv", ["vt", *argv])
     tracemalloc.start()
@@ -711,8 +715,8 @@ def _in_thread(fn, timeout=10):
 
 
 class TestOutputThread:
-    """cli._Stdout: pieces written in order, each after the first by a writer thread
-    of its own that starts once the one before has ended; errors raised by the caller."""
+    """cli._Stdout: pieces written in order, each after the first by the command's one
+    writer thread, handed over once the piece before is written; errors raised by the caller."""
 
     def test_pieces_arrive_in_order_and_sync_waits_for_them(self, monkeypatch):
         out = _FlushedOnly()
@@ -813,11 +817,13 @@ class TestOutputThread:
             (["family", "even", "--ell", "2", "--n", "4"], 0),
             (["scan", "--from", "1", "--to", str(_CELL_ROWS)], 0),  # one piece
             (["scan", "--from", "1", "--to", str(_CELL_ROWS + 1)], 1),  # two
+            (["scan", "--from", "1", "--to", str(4 * _CELL_ROWS + 1)], 1),  # five
         ],
     )
     def test_a_thread_only_for_a_second_piece(self, argv, threads, capsysbinary, monkeypatch):
         # the first piece is written on the calling thread: a verb that
-        # writes one piece has nothing to overlap and starts no thread
+        # writes one piece has nothing to overlap and starts no thread;
+        # the second starts the one writer of every later piece
         started = []
         start = threading.Thread.start
 
@@ -837,25 +843,38 @@ class TestOutputThread:
         ],
     )
     def test_one_writer_at_a_time(self, ref, argv, pieces, capsysbinary, monkeypatch):
-        # a piece's writer starts once the one before has ended, and none
-        # is left running when the command returns
-        writers, alive = [], []
-        start = threading.Thread.start
+        # one writer thread writes every piece after the first, across
+        # chunks too, and has ended when the command returns
+        writers, written_by = [], []
+        start, put_out = threading.Thread.start, cli._Stdout._put_out
 
         def counting_start(thread):
             if thread.name == "vt-stdout":
-                alive.append(sum(writer.is_alive() for writer in writers))
                 writers.append(thread)
             start(thread)
 
+        def naming_put_out(stdout, piece):
+            written_by.append(threading.current_thread().name)
+            return put_out(stdout, piece)
+
         monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(cli._Stdout, "_put_out", naming_put_out)
         code, out, _ = run_cli(argv, capsysbinary)
         assert code == 0
-        assert alive == [0] * (pieces - 1)
-        assert not any(writer.is_alive() for writer in writers)
+        assert len(writers) == 1
+        assert not writers[0].is_alive()
+        assert written_by == [threading.current_thread().name] + ["vt-stdout"] * (pieces - 1)
         lo, hi = int(argv[2]), int(argv[4])
         want = ref.record_lines(lo, hi, "jsonl") if argv[0] == "scan" else ref.run_lines(lo, hi, 2)
         assert out == want
+
+    def test_commands_leave_no_thread_behind(self, capsysbinary):
+        argv = ["scan", "--from", "1", "--to", str(4 * _CELL_ROWS + 1)]  # five pieces
+        before = threading.active_count()
+        for _ in range(20):
+            assert dispatch(argv) == 0
+        capsysbinary.readouterr()
+        assert threading.active_count() == before
 
 
 def _line_offset(data, lines):
@@ -968,6 +987,18 @@ class TestTopLevel:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+    def test_main_defaults_openblas_to_one_thread(self, preset, want, capsysbinary, monkeypatch):
+        # set then unset, so that monkeypatch restores the environment afterwards
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "0")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setattr(sys, "argv", ["vt", "check", "7"])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        assert exited.value.code == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == want
 
 
 def _vt_process(argv, buffered, **streams):
@@ -1326,6 +1357,30 @@ class TestSubprocessSurface:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                               text=True, timeout=60)
         assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+
+    def test_importing_vtnum_leaves_openblas_alone(self):
+        # only `vt` picks OpenBLAS's thread count: a library must not set
+        # it for the program that imports it
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        probe = "import os, vtnum, vtnum.scanner; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stdout == "None\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_a_one_piece_scan_runs_on_one_thread(self):
+        # no writer thread for one piece, and OpenBLAS starts no workers
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        probe = (
+            "import atexit, os, sys\n"
+            "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+            "from vtnum.cli import main\n"
+            "main()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, "scan", "--from", "1", "--to", "50"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[-1] == "1"
 
     def test_identical_argv_identical_bytes(self):
         argv = [sys.executable, "-m", "vtnum", "scan", "--from", "1", "--to", "5000"]
