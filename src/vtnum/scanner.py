@@ -30,7 +30,9 @@ classifiers build t, t_(a+i) = t_a + i*a + t_i, and lays the digits
 (from a table of 4-digit groups) out in rows of exactly each record's
 bytes, but for NUL padding after short tails, which it then deletes.
 Any other records go through one f-string per line: the reference the
-kernel is tested against.
+kernel is tested against.  The jsonl lines of runs are laid out the
+same way: each field a column of numpy void items at its exact width,
+the table items NUL padded, and the NULs deleted at the end.
 """
 from __future__ import annotations
 
@@ -872,15 +874,10 @@ _DIGIT_GROUPS = (
 )
 
 
-def _words(text: str) -> np.ndarray:
-    """ASCII text as NUL padded uint32 words."""
-    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, "\0").encode("ascii"), np.uint32)
-
-
-def _word_table(texts: list[str]) -> np.ndarray:
-    """One row of NUL padded uint32 words per text, all rows as wide as the longest."""
-    width = -(-max(map(len, texts)) // 4) * 4
-    return _words("".join(text.ljust(width, "\0") for text in texts)).reshape(len(texts), -1)
+def _void_table(texts: list[str]) -> np.ndarray:
+    """One numpy void item per text, NUL padded on the right to the longest."""
+    width = max(map(len, texts))
+    return np.frombuffer("".join(text.ljust(width, "\0") for text in texts).encode(), f"V{width}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -891,10 +888,8 @@ def _row_layout(fmt: str, bits: int) -> tuple[np.void, np.void, np.ndarray]:
     line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
     tails = [line("", "\2", pc, vt).partition("\2")[2] for pc in range(bits + 1) for vt in (0, 1)]
-    width = max(map(len, tails))
-    table = np.frombuffer("".join(tail.ljust(width, "\0") for tail in tails).encode(), f"V{width}")
     mid = rest.partition("\2")[0]
-    return np.void(lead.encode()), np.void(mid.encode()), table
+    return np.void(lead.encode()), np.void(mid.encode()), _void_table(tails)
 
 
 def _groups(x: int, count: int) -> list[int]:
@@ -1032,15 +1027,15 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
 
 # A run's jsonl line, as `vt runs` prints it, is
 #   {"start":S,"length":L,"popcounts":[P1,...,PL],"truncated_left":B,"truncated_right":B}
-# cut into the words before S, those between S and P1, and a table entry per popcount.
-_RUN_LEAD = _words('{"start":')
+# cut into the bytes before S, those between S and P1, and a table item per popcount.
+_RUN_LEAD = np.void(b'{"start":')
 _BOOLS = ("false", "true")
 
 
 @functools.lru_cache(maxsize=128)
 def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """A run line's popcount words, for pc <= bits: entry [pc] of the first
-    table holds "pc,", and entry [pc, flags] of the second the line's end
+    """A run line's popcount items, for pc <= bits: item [pc] of the first
+    table holds "pc,", and item [pc, flags] of the second the line's end
     from its last popcount on."""
     heads = [f"{pc}," for pc in range(bits + 1)]
     tails = [
@@ -1048,22 +1043,26 @@ def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
         for pc in range(bits + 1)
         for flags in range(4)
     ]
-    return _word_table(heads), _word_table(tails).reshape(bits + 1, 4, -1)
+    return _void_table(heads), _void_table(tails).reshape(bits + 1, 4)
 
 
 def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
     """The jsonl lines of runs, one pass of at most _RUN_PASS runs at a time.
 
-    A pass fills a matrix with one NUL padded row of uint32 words per
-    run, then deletes its NUL bytes.  The start lo + starts[k] goes in
-    at its exact width by :func:`_digits`, the offsets rising as n does
-    in :func:`_format_range`: one call per run of starts with one digit
-    count.  The rest of a row depends on the run's length, so the runs
-    of one length are laid out together: the words naming the length, a
-    table entry per popcount but the last, and one for the last that
-    ends the line with the truncation flags.
+    A pass lays its rows out as :func:`_format_range` does: each field
+    is a column of numpy void items, one per row, written in row order,
+    and the NULs padding the items and the rows are deleted at the end.
+    The rows of a pass are as wide as its widest.  The start lo +
+    starts[k] goes in at its exact width by :func:`_digits`, the offsets
+    rising as n does in :func:`_format_range`: one call per run of
+    starts with one digit count.  The rest of a row depends on the run's
+    length, so the runs of one length are laid out together, past the
+    widest start: the bytes naming the length, a table item per popcount
+    but the last, and one for the last that ends the line with the
+    truncation flags.
     """
     heads, tails = _run_tables(triangular(runs.lo + runs.pcs.size - 1).bit_length())
+    s_at = _RUN_LEAD.itemsize
     for p in range(0, runs.starts.size, _RUN_PASS):
         starts = runs.starts[p : p + _RUN_PASS]
         lengths, flags = runs.lengths[p : p + starts.size], runs.flags[p : p + starts.size]
@@ -1073,28 +1072,25 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
             starts.size,
             lambda k: int(np.searchsorted(starts, min(max(10**k - runs.lo, 0), top + 1))),
         )
-        s_at = _RUN_LEAD.size
-        m_at = s_at + -(-s_runs[-1][2] // 4)  # past the start's digit groups
+        m_at = s_at + s_runs[-1][2]  # past the widest start
         counts = np.bincount(lengths)
-        mids = {size: _words(f',"length":{size},"popcounts":[')
+        mids = {size: np.void(f',"length":{size},"popcounts":['.encode())
                 for size in np.flatnonzero(counts).tolist()}
-        width = m_at + max(mid.size + (size - 1) * heads.shape[1] + tails.shape[2]
+        width = m_at + max(mid.itemsize + (size - 1) * heads.itemsize + tails.itemsize
                            for size, mid in mids.items())
-        buf = bytearray(4 * starts.size * width)
-        rows = np.frombuffer(buf, np.uint32).reshape(starts.size, width)
-        rows[:, :s_at] = _RUN_LEAD
+        buf = bytearray(starts.size * width)
+        np.ndarray(starts.size, _RUN_LEAD.dtype, buf, 0, width)[...] = _RUN_LEAD
         for start, stop, digits in s_runs:
             field = _digits(runs.lo, 0, starts[start:stop].astype(np.uint32), digits)
-            first = 4 * (start * width + s_at)  # the field's first byte in row `start`
-            np.ndarray(stop - start, field.dtype, buf, first, 4 * width)[...] = field
+            np.ndarray(stop - start, field.dtype, buf, start * width + s_at, width)[...] = field
         for size, mid in mids.items():
             at = np.flatnonzero(lengths == size) if counts[size] < starts.size else slice(None)
             pcs = runs.pcs[starts[at, None] + np.arange(size)]
-            h_at = m_at + mid.size
-            t_at = h_at + (size - 1) * heads.shape[1]
-            rows[at, m_at:h_at] = mid
-            rows[at, h_at:t_at] = heads[pcs[:, :-1]].reshape(pcs.shape[0], -1)
-            rows[at, t_at : t_at + tails.shape[2]] = tails[pcs[:, -1], flags[at]]
+            end = m_at
+            for field in (mid, *(heads[pcs[:, j]] for j in range(size - 1)),
+                          tails[pcs[:, -1], flags[at]]):
+                np.ndarray(starts.size, field.dtype, buf, end, width)[at] = field
+                end += field.dtype.itemsize
         yield buf.translate(None, b"\0")
 
 

@@ -681,6 +681,7 @@ class TestRunStream:
             (2**64 - 600, 2**64 + 600, 5),
             (2**128 - 300, 2**128 + 400, 11),  # popcounts widen from uint8 to uint16
             (2**66 - 5, 2**66 + 5, 1),  # twin_pair(66), rejoined across one-index chunks
+            (2**1000 - 300, 2**1000 + 300, 7),  # 302-digit starts, 5-byte popcount items
         ],
     )
     @pytest.mark.parametrize("min_len", [1, 2, 6])
