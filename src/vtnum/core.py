@@ -4,9 +4,10 @@ predicates built from them; one classified record and its bytes.
 A triangular number is t_n = n(n+1)/2 with n >= 1, and a value is *very
 triangular* when it is triangular and its binary representation contains
 a triangular number of 1 bits.  Everything here operates on plain Python
-integers, so results are exact at any size; the vectorized one-word
-and limb kernels used for bulk scanning live in :mod:`vtnum.scanner`
-and are cross-checked against these functions in the test suite.
+integers, so results are exact at any size; the vectorized kernel
+used for bulk scanning, one word or 32-bit limbs a row, lives in
+:mod:`vtnum.scanner` and is cross-checked against these functions in
+the test suite.
 
 Nothing here imports numpy: the verbs that print a few records, and the
 checkpoint errors the CLI reports, need no more than this module.

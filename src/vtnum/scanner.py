@@ -2,17 +2,18 @@
 
 The scanner walks indexes in ascending order and classifies each t_n
 by the popcount test.  Ranges are cut into fixed chunks, split at
-FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers:
+FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers.
+One vectorized numpy kernel runs both, exact at any index size: over
+2^15-row sub-blocks it sums t_(a+i) = t_a + i*a + t_i in uint64 columns
+of one reused buffer, and only the columns differ by tier:
 
-    n <= FAST_INDEX_LIMIT   t_n < 2^64 fits one uint64 word: t_(a+i) =
-                            t_a + i*a + t_i over 2^15-row sub-blocks
-    larger n                t_n as 32-bit limbs in uint64 columns, with
+    n <= FAST_INDEX_LIMIT   t_n < 2^64 fits one uint64 word: one column
+    larger n                t_n as 32-bit limbs, one column each, with
                             the carries propagated limb by limb
 
-Both are vectorized numpy kernels, exact at any index size.  A chunk
-keeps only its popcounts and verdicts; t is rebuilt from n for each
-piece that is formatted.  Chunks are classified on the calling thread,
-one at a time and in ascending range order, so output is byte
+A chunk keeps only its popcounts and verdicts; t is rebuilt from n for
+each piece that is formatted.  Chunks are classified on the calling
+thread, one at a time and in ascending range order, so output is byte
 deterministic.  The ``threads`` keyword of the scanning functions is
 validated but changes nothing.
 
@@ -98,12 +99,12 @@ DEFAULT_CHUNK = 1 << 20
 
 # The two classification tiers.  FAST_INDEX_LIMIT is the last n with
 # t_n < 2^64 (t = 18446744070963499500): up to it, t_n and every term of
-# the one-word kernel fit one unsigned 64-bit word; past it, t_n is held
-# as 32-bit limbs, as many as its size needs.
+# its sum fit one unsigned 64-bit word; past it, t_n is held as 32-bit
+# limbs, as many as its size needs.
 FAST_INDEX_LIMIT = 6074000999
 
-# Rows per pass of both kernels: their columns stay cache sized, and in
-# the limb kernel i * a_j + c_j + carry stays below 2^48 for i below it.
+# Rows per sub-block of the classifier: its columns stay cache sized, and
+# in the limb tier i * a_j + c_j + carry stays below 2^48 for i below it.
 _LIMB_BLOCK = 1 << 15
 _LOW32 = np.uint64(0xFFFFFFFF)
 
@@ -381,7 +382,7 @@ def _vt_by_popcount(bits: int) -> np.ndarray:
 def _block_tables(dtype: type = np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """i and t_i for every row i < _LIMB_BLOCK of a sub-block, read-only.
 
-    Shared by both kernels (uint64) and the formatter (uint32), and built on first use.
+    Shared by both classifier tiers (uint64) and the formatter (uint32), built on first use.
     """
     i = np.arange(_LIMB_BLOCK, dtype=dtype)
     t_i = i * (i + 1) >> 1
@@ -389,67 +390,54 @@ def _block_tables(dtype: type = np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return i, t_i
 
 
-def _classify_fast(lo: int, hi: int) -> _Chunk:
-    """Vectorized kernel for chunks that end at or below FAST_INDEX_LIMIT.
-
-    In _LIMB_BLOCK-row sub-blocks starting at a, t_(a+i) = t_a + i*a + t_i
-    is built in one reused cache-sized buffer by one product and two adds,
-    no row depending on the one before it.  Every term and partial sum is
-    at most t_(a+i), so all stay below 2^64 up to FAST_INDEX_LIMIT.  The
-    popcounts and then the verdicts go straight into the chunk's columns.
-    """
-    pcs = np.empty(hi - lo + 1, dtype=np.uint8)
-    vts = np.empty(pcs.size, dtype=bool)
-    block = np.empty(min(pcs.size, _LIMB_BLOCK), dtype=np.uint64)
-    (i, t_i), table = _block_tables(), _vt_by_popcount(64)
-    for s in range(0, pcs.size, _LIMB_BLOCK):
-        a, e = lo + s, min(s + _LIMB_BLOCK, pcs.size)
-        ts = np.multiply(i[: e - s], np.uint64(a), out=block[: e - s])
-        ts += np.uint64(a * (a + 1) // 2)
-        ts += t_i[: e - s]
-        np.bitwise_count(ts, out=pcs[s:e])
-        np.take(table, pcs[s:e], out=vts[s:e])
-    return _Chunk(lo, hi, pcs, vts)
-
-
 def _limbs(x: int, count: int) -> np.ndarray:
     """The low `count` 32-bit limbs of x, least significant first, as uint64."""
     return np.frombuffer(x.to_bytes(4 * count, "little"), dtype="<u4").astype(np.uint64)
 
 
-def _classify_limbs(lo: int, hi: int) -> _Chunk:
-    """Vectorized limb kernel for chunks past FAST_INDEX_LIMIT, exact at any size.
+def _classify(lo: int, hi: int) -> _Chunk:
+    """Vectorized kernel for one chunk of either tier, exact at any size.
 
-    In a sub-block starting at index a, t_(a+i) = t_a + i*a + t_i.  With
-    a and t_a cut into 32-bit limbs a_j and c_j, column j of that sum is
-    i*a_j + c_j plus the carry out of column j - 1, t_i being the first
-    carry; i and t_i come from the tables shared with the one-word
-    kernel.  A column stays below 2^48: its low 32 bits are limb j of
-    t_(a+i), and the rest carries on.  As in the one-word kernel, the
-    verdicts are looked up one sub-block at a time: np.take casts its
-    indexes to intp, 8 bytes a row.
+    In _LIMB_BLOCK-row sub-blocks starting at a, t_(a+i) = t_a + i*a + t_i
+    is summed in columns of one reused buffer, no row depending on the one
+    before it; i and t_i come from _block_tables, and t_i is the first
+    carry.  Up to FAST_INDEX_LIMIT the one column is the whole word: every
+    term and partial sum is at most t_(a+i) < 2^64, and its popcount goes
+    straight into the chunk.  Past it, a and t_a are cut into 32-bit limbs
+    a_j and c_j, and column j is i*a_j + c_j plus the carry out of column
+    j - 1: it stays below 2^48, its low 32 bits are limb j of t_(a+i) and
+    the rest carries on.  The verdicts are looked up one sub-block at a
+    time: np.take casts its indexes to intp, 8 bytes a row.
     """
-    bits = triangular(hi).bit_length()
-    pcs = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(bits))
+    word = hi <= FAST_INDEX_LIMIT
+    bits = 64 if word else triangular(hi).bit_length()
+    pcs = np.empty(hi - lo + 1, dtype=np.min_scalar_type(bits))
     vts = np.empty(pcs.size, dtype=bool)
-    rows, t_rows = _block_tables()
-    table = _vt_by_popcount(bits)
+    block = np.empty((2, min(pcs.size, _LIMB_BLOCK)), dtype=np.uint64)
+    counts = np.empty(block.shape[1], dtype=np.uint8)  # uint64 counts added to pcs cast row by row
+    (rows, t_rows), table = _block_tables(), _vt_by_popcount(bits)
     for s in range(0, pcs.size, _LIMB_BLOCK):
         a, out = lo + s, pcs[s : s + _LIMB_BLOCK]
         i, carry = rows[: out.size], t_rows[: out.size]
-        count = triangular(a + out.size - 1).bit_length() // 32 + 1
-        for a_j, c_j in zip(_limbs(a, count), _limbs(triangular(a), count)):
-            column = i * a_j + c_j + carry
-            out += np.bitwise_count(column & _LOW32)
-            carry = column >> 32
+        column, spill = block[:, : out.size]
+        if word:
+            terms = [(np.uint64(a), np.uint64(triangular(a)))]
+        else:
+            count = triangular(a + out.size - 1).bit_length() // 32 + 1
+            terms = zip(_limbs(a, count), _limbs(triangular(a), count))
+            out[...] = 0
+        for a_j, c_j in terms:
+            np.multiply(i, a_j, out=column)
+            column += c_j
+            column += carry
+            if word:
+                np.bitwise_count(column, out=out)
+            else:
+                carry = np.right_shift(column, 32, out=spill)
+                column &= _LOW32
+                out += np.bitwise_count(column, out=counts[: out.size])
         np.take(table, out, out=vts[s : s + _LIMB_BLOCK])
     return _Chunk(lo, hi, pcs, vts)
-
-
-def _classify(lo: int, hi: int) -> _Chunk:
-    if hi <= FAST_INDEX_LIMIT:
-        return _classify_fast(lo, hi)
-    return _classify_limbs(lo, hi)
 
 
 def _chunk_bounds(lo: int, hi: int, size: int) -> Iterator[tuple[int, int]]:

@@ -1,4 +1,5 @@
 """Command line surface: verbs, formats, exit codes, determinism."""
+import dataclasses
 import errno
 import json
 import os
@@ -25,6 +26,8 @@ from vtnum import (
     stream_scan,
 )
 from vtnum import cli, scanner
+from vtnum.analysis import bertrand_check, gap_window
+from vtnum.families import family_odd
 from vtnum.cli import dispatch, emit, main
 from vtnum.scanner import _CELL_ROWS
 
@@ -377,6 +380,19 @@ class TestScanCheckpoint:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_malformed_open_run_fails_loud(self, tmp_path, capsysbinary):
+        path = tmp_path / "cp.json"
+        path.write_text(
+            '{"format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 400, "next": 8, '
+            '"vt_count": 3, "open_run": [6, 2, 1], "current_t": "28"}'
+        )
+        code, out, err = run_cli(
+            ["scan", "--from", "1", "--to", "400", "--checkpoint", str(path)],
+            capsysbinary,
+        )
+        assert code == 2 and out == b""
+        assert err == "vt: checkpoint field 'open_run' must be null or a [start, length] pair\n"
+
 
 class TestRunsAndTwins:
     def test_runs_json_lines(self, capsysbinary):
@@ -599,6 +615,39 @@ class TestPeriodicity:
             ["periodicity", "--n", "5", "--k", "0", "--m", "6"], capsysbinary
         )
         assert code == 2
+
+
+class TestFailedClaims:
+    """A verified claim that fails its check: its JSON line, then one stderr line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv,patch,message",
+        [
+            (["family", "odd", "--ell", "27"],
+             lambda mp: mp.setitem(cli._FAMILY_BUILDERS, "odd", (
+                 lambda ell: dataclasses.replace(family_odd(ell), matches=False), ("ell",))),
+             "vt: family odd witness failed verification\n"),
+            (["bertrand", "--n", "19"],
+             lambda mp: mp.setattr(cli, "bertrand_check", lambda n: (
+                 dataclasses.replace(bertrand_check(n), witnesses=()))),
+             "vt: no witness found in (t_19, t_38), contradicting the interval theorem\n"),
+            (["gaps", "--k", "28"],
+             lambda mp: mp.setattr(cli, "gap_window", lambda k: (
+                 dataclasses.replace(gap_window(k), all_non_vt=False))),
+             "vt: gap window for k = 28 failed verification\n"),
+            (["periodicity", "--n", "6", "--k", "0"],
+             lambda mp: mp.setattr(cli, "periodicity_identity", lambda n, k: False),
+             "vt: periodicity check failed\n"),
+        ],
+        ids=["family", "bertrand", "gaps", "periodicity"],
+    )
+    def test_exit_1_with_the_report(self, monkeypatch, capsysbinary, argv, patch, message):
+        patch(monkeypatch)
+        code, out, err = run_cli(argv, capsysbinary)
+        assert code == 1
+        assert err == message
+        assert out.count(b"\n") == 1
+        json.loads(out)
 
 
 class TestConjectureAndCensus:

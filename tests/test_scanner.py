@@ -995,6 +995,18 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointCorruptError):
             checkpoint_resume(path)
 
+    @pytest.mark.parametrize(
+        "open_run", [[6], [6, 2, 1], [6, True], [6.0, 2], "6,2", {"start": 6}]
+    )
+    def test_malformed_open_run(self, tmp_path, open_run):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps({
+            "format_version": 2, "fmt": "jsonl", "lo": 1, "hi": 100, "next": 8,
+            "vt_count": 3, "open_run": open_run, "current_t": "28",
+        }))
+        with pytest.raises(CheckpointCorruptError, match="open_run"):
+            checkpoint_resume(path)
+
     def test_malformed_current_t(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text(
