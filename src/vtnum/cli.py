@@ -43,6 +43,7 @@ import os
 import stat
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from typing import IO, Iterable, Iterator, NoReturn
 
@@ -314,27 +315,42 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_runs(lo: int, hi: int, min_len: int, threads: int) -> int:
-    """One jsonl line per run of find_runs(lo, hi, min_len), written chunk by chunk."""
-    from .scanner import _format_runs, _run_stream
+def _write_runs(args: argparse.Namespace, min_len: int) -> int:
+    """One jsonl line per run of find_runs(args.from_, args.to, min_len), written chunk by chunk.
 
+    A chunk's runs share the scan's chunk arrays, so they are formatted
+    and written before the next chunk is classified.  Where the time
+    went is measured on every run, and printed to stderr as one JSON
+    line with ``--stats``: the scanner's classify and track times, the
+    time spent making pieces, and the wait for each to be written.
+    """
+    threads = _resolve_threads(args)
+    from .scanner import _format_runs, _run_stream, _Stats
+
+    stats = _Stats()
     with _Stdout() as out:
-        for runs in _run_stream(lo, hi, min_len, threads=threads):
-            # runs is kept while the next chunk is classified: freed first,
-            # the heap is trimmed and faulted back in every chunk (10k more
-            # page faults over 2.5e7 indexes)
+        for runs in _run_stream(args.from_, args.to, min_len, threads=threads, stats=stats):
+            made = time.perf_counter_ns()
             for piece in _format_runs(runs):
+                written = time.perf_counter_ns()
+                stats.format_ns += written - made
                 out.write(piece)
-            piece = None  # written: not kept while the next chunk is classified
+                made = time.perf_counter_ns()
+                stats.write_wait_ns += made - written
+                stats.bytes += len(piece)
+            stats.format_ns += time.perf_counter_ns() - made
+            runs = piece = None  # neither is kept while the next chunk is classified
+    if args.stats:
+        print(stats.json_line(), file=sys.stderr)
     return 0
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    return _write_runs(args.from_, args.to, args.min_len, _resolve_threads(args))
+    return _write_runs(args, args.min_len)
 
 
 def _cmd_twins(args: argparse.Namespace) -> int:
-    return _write_runs(args.from_, args.to, 2, _resolve_threads(args))
+    return _write_runs(args, 2)
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
@@ -519,6 +535,11 @@ def _add_threads(sub: argparse.ArgumentParser) -> None:
                           "but classification always runs on one thread")
 
 
+def _add_stats(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--stats", action="store_true",
+                     help="print where the time went as one JSON line on stderr")
+
+
 def _resolve_threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
         return args.threads
@@ -572,11 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--min-len", type=int, default=2, metavar="K",
                      help="shortest run to report (default: 2)")
     _add_threads(sub)
+    _add_stats(sub)
     sub.set_defaults(func=_cmd_runs)
 
     sub = verbs.add_parser("twins", help="adjacent VT pairs (runs of length >= 2)")
     _add_range(sub)
     _add_threads(sub)
+    _add_stats(sub)
     sub.set_defaults(func=_cmd_twins)
 
     sub = verbs.add_parser("sigma", help="the first COUNT very triangular indexes")

@@ -395,8 +395,12 @@ def _limbs(x: int, count: int) -> np.ndarray:
     return np.frombuffer(x.to_bytes(4 * count, "little"), dtype="<u4").astype(np.uint64)
 
 
-def _classify(lo: int, hi: int) -> _Chunk:
+def _classify(lo: int, hi: int, out: _Chunk | None = None) -> _Chunk:
     """Vectorized kernel for one chunk of either tier, exact at any size.
+
+    The chunk's popcounts and verdicts are written into the arrays of
+    ``out`` when they have its width and popcount dtype, and the chunk
+    returned shares them; otherwise they are allocated.
 
     In _LIMB_BLOCK-row sub-blocks starting at a, t_(a+i) = t_a + i*a + t_i
     is summed in columns of one reused buffer, no row depending on the one
@@ -411,8 +415,11 @@ def _classify(lo: int, hi: int) -> _Chunk:
     """
     word = hi <= FAST_INDEX_LIMIT
     bits = 64 if word else triangular(hi).bit_length()
-    pcs = np.empty(hi - lo + 1, dtype=np.min_scalar_type(bits))
-    vts = np.empty(pcs.size, dtype=bool)
+    size, dtype = hi - lo + 1, np.min_scalar_type(bits)
+    if out is not None and out.pcs.size == size and out.pcs.dtype == dtype:
+        pcs, vts = out.pcs, out.vts
+    else:
+        pcs, vts = np.empty(size, dtype=dtype), np.empty(size, dtype=bool)
     block = np.empty((2, min(pcs.size, _LIMB_BLOCK)), dtype=np.uint64)
     counts = np.empty(block.shape[1], dtype=np.uint8)  # uint64 counts added to pcs cast row by row
     (rows, t_rows), table = _block_tables(), _vt_by_popcount(bits)
@@ -483,17 +490,28 @@ def _long_runs(seg: np.ndarray, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and stop offsets of each run of at least min_len Trues in seg.
 
     seg must begin and end with False, so every run in it is maximal.
-    Shifted ANDs first narrow the mask to the positions that open
-    min_len consecutive Trues; edge detection then meets only the long
-    runs.
+    It is searched in windows of about _LIMB_BLOCK rows, each cut at a
+    False, so the same holds in every window and the temporaries stay
+    cache sized.  In a window, shifted ANDs first narrow the mask to the
+    positions that open min_len consecutive Trues; edge detection then
+    meets only the long runs.
     """
-    opens, span = seg, 1
-    while span < min_len:
-        step = min(span, min_len - span)
-        opens = opens[:-step] & opens[step:]
-        span += step
-    edges = np.flatnonzero(opens[1:] != opens[:-1]) + 1
-    return edges[0::2], edges[1::2] + (span - 1)
+    parts, a = [], 0
+    while True:
+        b = min(a + _LIMB_BLOCK, seg.size - 1)
+        b += _leading_true(seg[b:])  # the window ends at a False
+        opens, span = seg[a : b + 1], 1
+        while span < min_len:
+            step = min(span, min_len - span)
+            opens = opens[:-step] & opens[step:]
+            span += step
+        parts.append(np.flatnonzero(opens[1:] != opens[:-1]) + (a + 1))
+        if b == seg.size - 1:
+            break
+        a = b
+    edges = np.concatenate(parts)
+    edges[1::2] += span - 1
+    return edges[0::2], edges[1::2]
 
 
 @dataclass(frozen=True)
@@ -616,8 +634,38 @@ def _start_state(lo: int, hi: int, fmt: str | None) -> ScanCheckpoint:
     return ScanCheckpoint(CHECKPOINT_VERSION, lo, hi, lo, 0, None, lo * (lo - 1) // 2, fmt)
 
 
+@dataclass
+class _Stats:
+    """Where a scan's time went, in nanoseconds, and what went through it.
+
+    The scan driver adds the classify and track times of each chunk, and
+    the rows classified; the consumer adds what it formats and writes.
+    """
+
+    classify_ns: int = 0
+    track_ns: int = 0
+    format_ns: int = 0
+    write_wait_ns: int = 0
+    chunks: int = 0
+    rows: int = 0
+    bytes: int = 0
+
+    def json_line(self) -> str:
+        """The stats as one JSON object on one line, times in seconds."""
+        return json.dumps(
+            {re.sub("_ns$", "_s", k): v / 1e9 if k.endswith("_ns") else v
+             for k, v in vars(self).items()},
+            separators=(",", ":"),
+        )
+
+
 def _drive(
-    state: ScanCheckpoint, tracker: _RunTracker, *, chunk_size: int
+    state: ScanCheckpoint,
+    tracker: _RunTracker,
+    *,
+    chunk_size: int,
+    fresh: bool = False,
+    stats: _Stats | None = None,
 ) -> Iterator[tuple[_Chunk, _RunColumns | None, ScanCheckpoint]]:
     """Classify [state.next, state.hi] chunk by chunk, in ascending order.
 
@@ -627,23 +675,40 @@ def _drive(
     the checkpoint keeps ``state.fmt``.  Formatting, if any, is the
     consumer's, one piece at a time.  ``tracker`` sees every chunk and
     supplies the checkpoint's open run.
+
+    The chunks are classified into one pair of popcount and verdict
+    arrays that the scan owns, replaced only when a chunk's width or
+    popcount dtype changes, so the heap does not give a chunk's pages
+    back to the system only to fault them in for the next one.  So a
+    chunk, and the runs it closes, are valid only until the consumer
+    asks for the next chunk.  With ``fresh``, each chunk gets arrays of
+    its own, which the consumer may keep.  The classify and track times
+    of each chunk are added to ``stats``, if given.
     """
-    vt_total = state.vt_count
-    bounds = _chunk_bounds(state.next, state.hi, chunk_size)
-    for chunk in itertools.starmap(_classify, bounds):
+    stats = _Stats() if stats is None else stats
+    vt_total, out = state.vt_count, None
+    for lo, hi in _chunk_bounds(state.next, state.hi, chunk_size):
+        started = time.perf_counter_ns()
+        chunk = _classify(lo, hi, out)
         vt_total += chunk.vt_count
+        classified = time.perf_counter_ns()
         closed = tracker.feed(chunk)
+        stats.track_ns += time.perf_counter_ns() - classified
+        stats.classify_ns += classified - started
+        stats.chunks += 1
+        stats.rows += hi - lo + 1
         yield chunk, closed, ScanCheckpoint(
             format_version=CHECKPOINT_VERSION,
             lo=state.lo,
             hi=state.hi,
-            next=chunk.hi + 1,
+            next=hi + 1,
             vt_count=vt_total,
             open_run=tracker.open_run,
-            current_t=chunk.hi * (chunk.hi + 1) // 2,
+            current_t=hi * (hi + 1) // 2,
             fmt=state.fmt,
         )
-        del chunk, closed  # release them before the next chunk is classified
+        out = None if fresh else chunk
+        del chunk, closed  # a fresh chunk is released before the next one is classified
 
 
 def scan(
@@ -784,19 +849,25 @@ def merge_summaries(a: ScanSummary, b: ScanSummary, *, min_run_len: int = 1) -> 
     )
 
 
-def _run_stream(lo: int, hi: int, min_len: int, *, threads: int = 1) -> Iterator[_RunColumns]:
+def _run_stream(
+    lo: int, hi: int, min_len: int, *, threads: int = 1, stats: _Stats | None = None
+) -> Iterator[_RunColumns]:
     """The runs of :func:`find_runs` as columns, one batch per chunk.
 
     Each batch is yielded before the next chunk is classified, so a
     consumer that formats and writes it first holds one chunk's runs,
-    whatever the range length.
+    whatever the range length.  A batch may share its popcounts with
+    the scan's chunk arrays (see :func:`_drive`): it is valid only until
+    the consumer asks for the next batch.  ``stats`` is handed to
+    :func:`_drive`.
     """
     if min_len < 1:
         raise ParameterError(f"min_len must be >= 1, got {min_len}")
     _require_range(lo, hi)
     _require_threads(threads)
     tracker = _RunTracker(lo, min_len)
-    for _, closed, _ in _drive(_start_state(lo, hi, None), tracker, chunk_size=DEFAULT_CHUNK):
+    state = _start_state(lo, hi, None)
+    for _, closed, _ in _drive(state, tracker, chunk_size=DEFAULT_CHUNK, stats=stats):
         if closed is not None:
             yield closed.at_least(min_len)
         del closed  # release it before the next chunk is classified
@@ -1113,6 +1184,12 @@ class StreamBlock:
     flushed before it persists ``checkpoint``: that barrier is what
     keeps the guarantee.  Equality compares the checkpoint and header,
     not the classified chunk.
+
+    Unlike the chunks of the scans that only count or search runs, which
+    reuse one pair of arrays and are valid until the next chunk is
+    classified, each block's chunk has arrays of its own: a block stays
+    valid after later blocks are made, so blocks may be kept and their
+    pieces read at any time.
     """
 
     checkpoint: ScanCheckpoint  # its fmt is the block's format
@@ -1188,7 +1265,8 @@ def stream_scan(
         state = resume
         header = b""  # the interrupted stream already wrote it
     tracker = _RunTracker(lo, None, state.open_run)
-    for chunk, _, checkpoint in _drive(state, tracker, chunk_size=chunk_size):
+    # a block may be kept past the next one, so each gets a chunk of its own
+    for chunk, _, checkpoint in _drive(state, tracker, chunk_size=chunk_size, fresh=True):
         yield StreamBlock(checkpoint, header, chunk)
         header = b""
         del chunk  # release it before the next chunk is classified

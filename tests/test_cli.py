@@ -439,6 +439,21 @@ class TestRunsAndTwins:
         assert (code, err) == (0, "")
         assert out == ref.run_lines(lo, hi, int(min_len[0]) if min_len else 2)
 
+    @pytest.mark.parametrize("verb", [["runs", "--min-len", "1"], ["twins"]])
+    def test_stats_line_leaves_stdout_alone(self, capsysbinary, verb):
+        lo = 2**31 + 12345
+        argv = [*verb, "--from", str(lo), "--to", str(lo + 3 * 2**20)]
+        plain = run_cli(argv, capsysbinary)
+        code, out, err = run_cli(argv + ["--stats"], capsysbinary)
+        assert (code, out) == plain[:2] and plain[2] == ""
+        stats = json.loads(err)
+        assert err.count("\n") == 1
+        assert list(stats) == [
+            "classify_s", "track_s", "format_s", "write_wait_s", "chunks", "rows", "bytes"
+        ]
+        assert (stats["chunks"], stats["rows"], stats["bytes"]) == (4, 3 * 2**20 + 1, len(out))
+        assert all(stats[k] > 0 for k in ("classify_s", "track_s", "format_s", "write_wait_s"))
+
     def test_twins_peak_memory_does_not_grow_with_the_range(self, monkeypatch):
         # the runs are formatted and written chunk by chunk, never all held:
         # about 8 MiB at either length, where a list of every run took 20
@@ -460,13 +475,13 @@ class TestRunsAndTwins:
         held = []
         classify = scanner._classify
 
-        def watching(lo, hi):
+        def watching(lo, hi, out=None):
             frame = sys._getframe(1)
             while frame.f_code is not cli._write_runs.__code__:
                 frame = frame.f_back
             pieces = [v for v in frame.f_locals.values() if isinstance(v, (bytes, bytearray))]
             held.append(len(pieces))
-            return classify(lo, hi)
+            return classify(lo, hi, out)
 
         monkeypatch.setattr(scanner, "_classify", watching)
         lo = 2**31 + 12345

@@ -219,6 +219,19 @@ class TestWordTier:
         chunk = _classify(1, 1000)
         assert [f.name for f in dataclasses.fields(chunk)] == ["lo", "hi", "pcs", "vts"]
 
+    def test_arrays_are_reused_only_when_they_fit(self):
+        first = _classify(1, 1000)
+        again = _classify(1001, 2000, first)
+        assert again.pcs is first.pcs and again.vts is first.vts
+        assert again.pcs.tolist() == [popcount_of_triangular(n) for n in range(1001, 2001)]
+        shorter = _classify(2001, 2500, again)
+        assert shorter.pcs.size == 500 and not np.shares_memory(shorter.pcs, again.pcs)
+        lo = 3**200  # t_n of 634 bits, popcounts past 255
+        wider = _classify(lo, lo + 999, first)
+        assert not np.shares_memory(wider.vts, first.vts)
+        assert wider.pcs.tolist() == [popcount_of_triangular(n) for n in range(lo, lo + 1000)]
+        assert wider.pcs.min() > 255
+
     @pytest.mark.parametrize(
         "count,limit_mib",
         [(lambda lo, hi: find_runs(lo, hi, 6), 10), (count_vt, 8)],
@@ -578,6 +591,37 @@ class TestRunTrackerOracle:
         starts, stops = _long_runs(seg, min_len)
         assert list(zip(starts.tolist(), stops.tolist())) == want
 
+    @pytest.mark.parametrize("stretch", [False, True], ids=["dense", "stretch"])
+    @pytest.mark.parametrize("min_len", [1, 2, 6, 40])
+    def test_long_runs_across_windows(self, min_len, stretch):
+        # masks of several search windows, most of whose nominal ends fall
+        # inside a run: a run of 45 across the first, and with `stretch` an
+        # all-True stretch longer than a window across it instead
+        mask = np.random.default_rng(min_len).random(4 * _LIMB_BLOCK + 777) < 0.85
+        mask[_LIMB_BLOCK - 21], mask[_LIMB_BLOCK - 20 : _LIMB_BLOCK + 25] = False, True
+        mask[_LIMB_BLOCK + 25] = False
+        if stretch:
+            mask[_LIMB_BLOCK // 2 : 2 * _LIMB_BLOCK] = True
+        seg = np.concatenate([[False], mask, [False]])
+        want = [(s + 1, s + 1 + n) for s, n in _ref_mask_runs(mask.tolist()) if n >= min_len]
+        assert any(s <= _LIMB_BLOCK < e for s, e in want)
+        starts, stops = _long_runs(seg, min_len)
+        assert list(zip(starts.tolist(), stops.tolist())) == want
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize("min_len", [1, 2])
+    def test_runs_across_the_popcount_dtype_change(self, ref, min_len, chunk):
+        # from n0, t_n has 256 bits, so its popcount may not fit a byte: the
+        # chunk arrays a scan owns are replaced there by wider ones
+        n0 = _first_index_reaching(2**255)
+        assert (_classify(n0 - 1, n0 - 1).pcs.dtype, _classify(n0, n0).pcs.dtype) == (
+            np.uint8, np.uint16
+        )
+        lo, hi = n0 - 1500, n0 + 1500
+        want = _expected_runs(ref, lo, hi, min_len)
+        assert scan(lo, hi, min_run_len=min_len, chunk_size=chunk).runs_found == want
+        assert find_runs(lo, hi, min_len) == [r for r in want if r.length >= min_len]
+
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -712,15 +756,16 @@ class TestRunStream:
         assert states
         for state in states:
             tracker = _RunTracker(lo, min_len, state.open_run)
-            batches = [runs for _, runs, _ in _drive(state, tracker, chunk_size=chunk)]
-            batches.append(tracker.finish())
-            got = b"".join(
-                b"".join(_format_runs(runs.at_least(min_len))) for runs in batches if runs is not None
-            )
+            # a batch may share the scan's chunk arrays: each is formatted
+            # before the next chunk is classified
+            got = [b"".join(_format_runs(runs.at_least(min_len)))
+                   for _, runs, _ in _drive(state, tracker, chunk_size=chunk) if runs is not None]
+            if (last := tracker.finish()) is not None:
+                got.append(b"".join(_format_runs(last.at_least(min_len))))
             # the runs that close at or past the frontier, the one open there rejoined whole
             want = [line for line in lines
                     if sum(json.loads(line)[k] for k in ("start", "length")) >= state.next]
-            assert got == b"".join(want)
+            assert b"".join(got) == b"".join(want)
 
     @settings(deadline=None, max_examples=80)
     @given(
