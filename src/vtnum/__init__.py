@@ -14,38 +14,50 @@ Quick start:
     >>> scan(1, 21).vt_count
     5
 
-The scanner's names (``scan``, ``count_vt``, ...) are resolved on first
-use, so importing the package does not import numpy.
+Importing the package imports :mod:`vtnum.core` only.  Each other
+module loads on first use of its name or of one of its public names
+(``scan``, ``family_even``, ``density_series``, ...), so a program pays
+only for the modules it uses, and numpy comes only with the scanner.
 """
 from importlib import import_module as _import_module
 
-from . import analysis, core, families
+from . import core
 from .core import *
-from .families import *
-from .analysis import *
 
 __version__ = "0.1.0"
 
-# scanner.__all__, spelled out so that it is known before the scanner,
-# and numpy with it, is imported (a test holds the two lists equal)
+# Each module's __all__, spelled out so that it is known before the module
+# is imported (a test holds each tuple equal to its module's list)
+_FAMILIES_NAMES = (
+    "Family", "FamilyWitness", "family_even", "family_power_minus", "family_odd",
+    "block_number", "block_witness", "twin_pair", "power_exclusion", "verify_witness",
+)
 _SCANNER_NAMES = (
     "DEFAULT_CHUNK", "FAST_INDEX_LIMIT", "CHECKPOINT_VERSION", "Run", "ScanSummary",
     "ScanCheckpoint", "StreamBlock", "scan", "resume_scan", "merge_summaries", "find_runs",
     "find_twins", "sigma_enumerate", "count_vt", "vt_flags", "stream_scan", "format_block",
     "checkpoint_save", "checkpoint_resume",
 )
+_ANALYSIS_NAMES = (
+    "VerificationError", "DensityPoint", "BertrandReport", "TheoremWitness", "GapReport",
+    "ApHit", "density_series", "bertrand_check", "bertrand_theorem_witness", "gap_window",
+    "gap_demonstration", "periodicity_identity", "periodicity_equal_popcount",
+    "weight_enumerate", "conjecture_no6", "popcount3_census", "ap_search",
+)
+_LAZY = {"families": _FAMILIES_NAMES, "scanner": _SCANNER_NAMES, "analysis": _ANALYSIS_NAMES}
 
 # each module's __all__ is the one list of its public names
-__all__ = ["__version__", *core.__all__, *families.__all__, *_SCANNER_NAMES, *analysis.__all__]
+__all__ = ["__version__", *core.__all__, *_FAMILIES_NAMES, *_SCANNER_NAMES, *_ANALYSIS_NAMES]
 
 
 def __getattr__(name: str) -> object:
-    if name == "scanner" or name in _SCANNER_NAMES:
-        scanner = _import_module(f"{__name__}.scanner")  # binds it here, too
-        globals().update((n, getattr(scanner, n)) for n in _SCANNER_NAMES)
-        return globals()[name]
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = _import_module(f"{__name__}.{module}")  # binds it here, too
+            globals().update((n, getattr(loaded, n)) for n in names)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SCANNER_NAMES, "scanner"})
+    return sorted({*globals(), *_LAZY, *__all__})

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import (
+    VerificationError,
     _require,
     is_triangular,
     is_very_triangular_index,
     triangular,
 )
+
+if TYPE_CHECKING:  # imported where used: only DensityPoint needs fractions or decimal
+    from fractions import Fraction
 
 __all__ = [
     "VerificationError",
@@ -47,10 +49,6 @@ __all__ = [
 ]
 
 
-class VerificationError(Exception):
-    """A claim that must hold by theorem failed its computational check."""
-
-
 # ---------------------------------------------------------------------------
 # Density
 
@@ -69,11 +67,15 @@ class DensityPoint:
 
     @property
     def ratio(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.vt_count, self.N)
 
     @property
     def ratio_decimal(self) -> str:
         """The ratio rounded to 10 significant digits."""
+        from decimal import Decimal, localcontext
+
         with localcontext() as ctx:
             ctx.prec = 10
             return str(Decimal(self.vt_count) / Decimal(self.N))

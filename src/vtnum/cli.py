@@ -25,9 +25,12 @@ value is a usage error) but change nothing.  Output that comes in more
 than one piece is written to stdout from the second piece on by one
 writer thread, while the calling thread makes the next piece.
 
-Only the verbs that classify index ranges (scan, runs, twins, sigma,
-density, bertrand, ap) import the numpy scanner, when they run; the
-others, the sweeps and ``--version`` among them, start without numpy.
+At import this module loads only :mod:`vtnum.core` and the standard
+library the parser needs.  Each handler imports the modules it runs
+when it runs: ``family`` loads the families, the sweeps, ``gaps`` and
+``periodicity`` the analysis, and the verbs that classify index ranges
+(scan, runs, twins, sigma, density, bertrand, ap) the numpy scanner, so
+``--version``, ``check`` and the sweeps start without numpy.
 
 JSON outputs follow one serialization rule: quantities that can exceed
 53 bits (triangular values, family indexes, window bounds) are emitted
@@ -37,7 +40,6 @@ scan indexes and popcounts stay plain numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import stat
@@ -45,39 +47,23 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 from . import __version__
-from .analysis import (
-    VerificationError,
-    ap_search,
-    bertrand_check,
-    conjecture_no6,
-    density_series,
-    gap_demonstration,
-    gap_window,
-    periodicity_equal_popcount,
-    periodicity_identity,
-    popcount3_census,
-)
 from .core import (
     _CSV_HEADER,
     CheckpointError,
     ParameterError,
+    VerificationError,
     VtRecord,
     _format_exact,
     _require_format,
     classify_index,
     is_triangular,
 )
-from .families import (
-    block_witness,
-    family_even,
-    family_odd,
-    family_power_minus,
-    power_exclusion,
-    twin_pair,
-)
+
+if TYPE_CHECKING:
+    from .scanner import _Stats
 
 __all__ = ["emit", "dispatch", "main"]
 
@@ -214,16 +200,16 @@ def _write(blocks: Iterable[bytes]) -> None:
             out.write(block)
 
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
 def _write_json_lines(payloads: Iterable[dict]) -> None:
     """One compact, ASCII-only JSON object per line, all in one write.
 
     There is one payload per result, and every verb holds its results in
     a list already: a result's line takes less memory than its objects.
     """
-    _write(["".join(_JSON.encode(payload) + "\n" for payload in payloads).encode("ascii")])
+    import json
+
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    _write(["".join(encode(payload) + "\n" for payload in payloads).encode("ascii")])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +252,28 @@ def _checkpoint_cap(hi: int) -> int:
     return 4096 + 16 * digits
 
 
+# the names each verb's --stats line gives, in order
+_SCAN_STATS = (
+    "classify_s", "format_s", "write_wait_s", "checkpoint_s",
+    "chunks", "rows", "pieces", "bytes", "checkpoint_saves",
+)
+_RUN_STATS = ("classify_s", "track_s", "format_s", "write_wait_s", "chunks", "rows", "bytes")
+
+
+def _write_pieces(out: _Stdout, pieces: Iterable[bytes], stats: _Stats) -> None:
+    """Write each piece, adding the time spent making it and the wait to hand it over to stats."""
+    made = time.perf_counter_ns()
+    for piece in pieces:
+        written = time.perf_counter_ns()
+        stats.format_ns += written - made
+        out.write(piece)
+        made = time.perf_counter_ns()
+        stats.write_wait_ns += made - written
+        stats.pieces += 1
+        stats.bytes += len(piece)
+    stats.format_ns += time.perf_counter_ns() - made
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Stream the range's records, saving the checkpoint (if any) after each block.
 
@@ -274,7 +282,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     The barrier sits before each checkpoint save: out.sync() returns once
     every piece of the block is written and flushed, so a saved
     checkpoint never points past a byte that is not out, and none is
-    saved for a block whose bytes failed to write.
+    saved for a block whose bytes failed to write.  Where the time went
+    is measured on every run, and printed with ``--stats`` after the
+    summary: the wait for each block (its classification), the time
+    spent making pieces, the wait for each to be written, and each save.
     """
     found = args.checkpoint is not None and os.path.exists(args.checkpoint)
     if found:
@@ -286,23 +297,36 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     f"more than any checkpoint of this scan ({cap})"
                 )
     # numpy comes with the scanner, so a checkpoint rejected above costs none of it
-    from .scanner import checkpoint_resume, checkpoint_save, stream_scan
+    from .scanner import _Stats, checkpoint_resume, checkpoint_save, stream_scan
 
     resume = None
     if found:
         with _checkpoint_file(args.checkpoint):
             resume = checkpoint_resume(args.checkpoint)
     last_state = resume
+    stats = _Stats()
+    blocks = stream_scan(
+        args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
+    )
     with _Stdout() as out:
-        for block in stream_scan(
-            args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
-        ):
-            for piece in block.pieces():
-                out.write(piece)
+        while True:
+            asked = time.perf_counter_ns()
+            block = next(blocks, None)
+            stats.classify_ns += time.perf_counter_ns() - asked
+            if block is None:
+                break
+            stats.chunks += 1
+            stats.rows += block.chunk.vts.size
+            _write_pieces(out, block.pieces(), stats)
             if args.checkpoint is not None:
+                synced = time.perf_counter_ns()
                 out.sync()
+                saved = time.perf_counter_ns()
+                stats.write_wait_ns += saved - synced
                 with _checkpoint_file(args.checkpoint):
                     checkpoint_save(block.checkpoint, args.checkpoint)
+                stats.checkpoint_ns += time.perf_counter_ns() - saved
+                stats.checkpoint_saves += 1
             last_state = block.checkpoint
             del block  # release the chunk before the next one is classified
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
@@ -312,6 +336,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         f"scanned [{args.from_}, {args.to}]: {vt_total} very triangular",
         file=sys.stderr,
     )
+    if args.stats:
+        print(stats.json_line(_SCAN_STATS), file=sys.stderr)
     return 0
 
 
@@ -330,18 +356,10 @@ def _write_runs(args: argparse.Namespace, min_len: int) -> int:
     stats = _Stats()
     with _Stdout() as out:
         for runs in _run_stream(args.from_, args.to, min_len, threads=threads, stats=stats):
-            made = time.perf_counter_ns()
-            for piece in _format_runs(runs):
-                written = time.perf_counter_ns()
-                stats.format_ns += written - made
-                out.write(piece)
-                made = time.perf_counter_ns()
-                stats.write_wait_ns += made - written
-                stats.bytes += len(piece)
-            stats.format_ns += time.perf_counter_ns() - made
-            runs = piece = None  # neither is kept while the next chunk is classified
+            _write_pieces(out, _format_runs(runs), stats)
+            runs = None  # not kept while the next chunk is classified
     if args.stats:
-        print(stats.json_line(), file=sys.stderr)
+        print(stats.json_line(_RUN_STATS), file=sys.stderr)
     return 0
 
 
@@ -361,13 +379,14 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     return 0
 
 
+# the name of each family's builder in vtnum.families, and its options
 _FAMILY_BUILDERS = {
-    "even": (family_even, ("ell", "n")),
-    "power-minus": (family_power_minus, ("k", "ell")),
-    "odd": (family_odd, ("ell",)),
-    "block": (block_witness, ("k",)),
-    "twin": (twin_pair, ("k",)),
-    "power-exclusion": (power_exclusion, ("k",)),
+    "even": ("family_even", ("ell", "n")),
+    "power-minus": ("family_power_minus", ("k", "ell")),
+    "odd": ("family_odd", ("ell",)),
+    "block": ("block_witness", ("k",)),
+    "twin": ("twin_pair", ("k",)),
+    "power-exclusion": ("power_exclusion", ("k",)),
 }
 
 
@@ -379,7 +398,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
             raise ParameterError(f"family {args.name} requires --{option}")
         if option not in needed and value is not None:
             raise ParameterError(f"family {args.name} does not take --{option}")
-    witness = builder(**{option: getattr(args, option) for option in needed})
+    from . import families
+
+    witness = getattr(families, builder)(**{option: getattr(args, option) for option in needed})
     _write_json_lines(
         [{
             "family": witness.family.value,
@@ -399,6 +420,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .analysis import density_series
+
     points = density_series(args.points)
     lines = "".join(f"{point.N},{point.vt_count},{point.ratio_decimal}\n" for point in points)
     _write([b"N,vt_count,ratio\n" + lines.encode("ascii")])
@@ -406,6 +429,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_bertrand(args: argparse.Namespace) -> int:
+    from .analysis import bertrand_check
+
     report = bertrand_check(args.n)
     _write_json_lines(
         [{
@@ -433,6 +458,8 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
 def _cmd_gaps(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.demonstrate is None):
         raise ParameterError("gaps needs exactly one of --k or --demonstrate")
+    from .analysis import gap_demonstration, gap_window
+
     report = gap_window(args.k) if args.k is not None else gap_demonstration(args.demonstrate)
     _write_json_lines(
         [{
@@ -453,6 +480,8 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodicity(args: argparse.Namespace) -> int:
+    from .analysis import periodicity_equal_popcount, periodicity_identity
+
     if args.m is None:
         holds = periodicity_identity(args.n, args.k)
         payload = {"check": "identity", "n": args.n, "k": args.k, "holds": holds}
@@ -473,6 +502,8 @@ def _cmd_periodicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    from .analysis import conjecture_no6
+
     hits = conjecture_no6(args.weight, args.max_bits)
     _write(emit([classify_index(n) for n in hits], args.emit))
     swept = math.comb(args.max_bits, args.weight)
@@ -485,12 +516,16 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from .analysis import popcount3_census
+
     values = popcount3_census(args.max_weight, args.max_bits)
     _write(emit([classify_index(is_triangular(v)) for v in values], args.emit))
     return 0
 
 
 def _cmd_ap(args: argparse.Namespace) -> int:
+    from .analysis import ap_search
+
     hits = ap_search(args.length, args.from_, args.to, args.max_diff)
     _write_json_lines(
         {"first": hit.first, "difference": hit.difference, "length": hit.length}
@@ -586,6 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--checkpoint", metavar="FILE",
                      help="write resumable state here; resume from it if it exists")
     _add_threads(sub)
+    _add_stats(sub)
     sub.set_defaults(func=_cmd_scan)
 
     sub = verbs.add_parser("runs", help="maximal runs of consecutive VT indexes")

@@ -51,6 +51,12 @@ class ParameterError(ValueError):
     """An argument fell outside an operation's stated domain."""
 
 
+# public through vtnum.analysis, whose __all__ names it; defined here so
+# that the CLI can catch it without importing that module
+class VerificationError(Exception):
+    """A claim that must hold by theorem failed its computational check."""
+
+
 def _brief(value: int) -> str:
     """An integer for an error message: in decimal up to 128 bits, else by bit length.
 

@@ -47,7 +47,7 @@ import stat
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -639,22 +639,26 @@ class _Stats:
     """Where a scan's time went, in nanoseconds, and what went through it.
 
     The scan driver adds the classify and track times of each chunk, and
-    the rows classified; the consumer adds what it formats and writes.
+    the rows classified; the consumer adds what it formats, writes and
+    saves.
     """
 
     classify_ns: int = 0
     track_ns: int = 0
     format_ns: int = 0
     write_wait_ns: int = 0
+    checkpoint_ns: int = 0
     chunks: int = 0
     rows: int = 0
+    pieces: int = 0
     bytes: int = 0
+    checkpoint_saves: int = 0
 
-    def json_line(self) -> str:
-        """The stats as one JSON object on one line, times in seconds."""
+    def json_line(self, names: Iterable[str]) -> str:
+        """The named stats as one JSON object on one line; a ``*_s`` name is its ``*_ns`` in seconds."""
         return json.dumps(
-            {re.sub("_ns$", "_s", k): v / 1e9 if k.endswith("_ns") else v
-             for k, v in vars(self).items()},
+            {name: getattr(self, name.removesuffix("_s") + "_ns") / 1e9 if name.endswith("_s")
+             else getattr(self, name) for name in names},
             separators=(",", ":"),
         )
 

@@ -25,7 +25,7 @@ from vtnum import (
     format_block,
     stream_scan,
 )
-from vtnum import cli, scanner
+from vtnum import analysis, cli, families, scanner
 from vtnum.analysis import bertrand_check, gap_window
 from vtnum.families import family_odd
 from vtnum.cli import dispatch, emit, main
@@ -394,6 +394,41 @@ class TestScanCheckpoint:
         assert err == "vt: checkpoint field 'open_run' must be null or a [start, length] pair\n"
 
 
+class TestScanStats:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("case", ["plain", "checkpoint", "resume"])
+    def test_stats_line_leaves_stdout_alone(self, tmp_path, capsysbinary, fmt, case):
+        hi = 2**20 + 5000  # two blocks: 128 pieces of _CELL_ROWS rows, then one
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", "1", "--to", str(hi), "--emit", fmt]
+        if case != "plain":
+            argv += ["--checkpoint", str(path)]
+        chunks, rows, pieces, saves = {
+            "plain": (2, hi, 129, 0), "checkpoint": (2, hi, 129, 2), "resume": (1, 5000, 1, 1),
+        }[case]
+
+        def run(extra):
+            if case == "resume":  # from the first block's checkpoint, each time
+                checkpoint_save(next(stream_scan(1, hi, fmt)).checkpoint, path)
+            return run_cli(argv + extra, capsysbinary)
+
+        plain = run([])
+        code, out, err = run(["--stats"])
+        assert (code, out) == plain[:2] and code == 0
+        summary, line = err.splitlines()
+        assert summary + "\n" == plain[2]
+        stats = json.loads(line)
+        assert list(stats) == [
+            "classify_s", "format_s", "write_wait_s", "checkpoint_s",
+            "chunks", "rows", "pieces", "bytes", "checkpoint_saves",
+        ]
+        assert [stats[k] for k in ("chunks", "rows", "pieces", "bytes", "checkpoint_saves")] == [
+            chunks, rows, pieces, len(out), saves
+        ]
+        assert all(stats[k] > 0 for k in ("classify_s", "format_s", "write_wait_s"))
+        assert (stats["checkpoint_s"] > 0) == (saves > 0)
+
+
 class TestRunsAndTwins:
     def test_runs_json_lines(self, capsysbinary):
         code, out, _ = run_cli(
@@ -639,19 +674,19 @@ class TestFailedClaims:
         "argv,patch,message",
         [
             (["family", "odd", "--ell", "27"],
-             lambda mp: mp.setitem(cli._FAMILY_BUILDERS, "odd", (
-                 lambda ell: dataclasses.replace(family_odd(ell), matches=False), ("ell",))),
+             lambda mp: mp.setattr(families, "family_odd", (
+                 lambda ell: dataclasses.replace(family_odd(ell), matches=False))),
              "vt: family odd witness failed verification\n"),
             (["bertrand", "--n", "19"],
-             lambda mp: mp.setattr(cli, "bertrand_check", lambda n: (
+             lambda mp: mp.setattr(analysis, "bertrand_check", lambda n: (
                  dataclasses.replace(bertrand_check(n), witnesses=()))),
              "vt: no witness found in (t_19, t_38), contradicting the interval theorem\n"),
             (["gaps", "--k", "28"],
-             lambda mp: mp.setattr(cli, "gap_window", lambda k: (
+             lambda mp: mp.setattr(analysis, "gap_window", lambda k: (
                  dataclasses.replace(gap_window(k), all_non_vt=False))),
              "vt: gap window for k = 28 failed verification\n"),
             (["periodicity", "--n", "6", "--k", "0"],
-             lambda mp: mp.setattr(cli, "periodicity_identity", lambda n, k: False),
+             lambda mp: mp.setattr(analysis, "periodicity_identity", lambda n, k: False),
              "vt: periodicity check failed\n"),
         ],
         ids=["family", "bertrand", "gaps", "periodicity"],
@@ -1397,30 +1432,41 @@ class TestSubprocessSurface:
         assert want and out.startswith(want) and out.endswith(b"\n")
 
     @pytest.mark.parametrize(
-        "argv, loads_numpy",
+        "argv, modules",
         [
-            (["--version"], False),
-            (["check", "7", "21"], False),
-            (["check", "--value", "21"], False),
-            (["family", "twin", "--k", "6"], False),
-            (["periodicity", "--n", "6", "--k", "1"], False),
-            (["gaps", "--k", "28"], False),
-            (["conjecture", "--weight", "6", "--max-bits", "24"], False),
-            (["census", "--max-weight", "5", "--max-bits", "40"], False),
-            (["scan", "--from", "1", "--to", "50"], True),
-            (["runs", "--from", "1", "--to", "50"], True),
+            (["--version"], ""),
+            (["check", "7", "21"], ""),
+            (["check", "--value", "21"], ""),
+            (["family", "twin", "--k", "6"], "families"),
+            (["periodicity", "--n", "6", "--k", "1"], "analysis"),
+            (["gaps", "--k", "28"], "analysis"),
+            (["conjecture", "--weight", "6", "--max-bits", "24"], "analysis"),
+            (["census", "--max-weight", "5", "--max-bits", "40"], "analysis"),
+            (["density", "10", "100"], "analysis scanner"),
+            (["bertrand", "--n", "19"], "analysis scanner"),
+            (["ap", "--length", "3", "--from", "1", "--to", "100", "--max-diff", "5"],
+             "analysis scanner"),
+            (["scan", "--from", "1", "--to", "50"], "scanner"),
+            (["runs", "--from", "1", "--to", "50"], "scanner"),
+            (["twins", "--from", "1", "--to", "50"], "scanner"),
+            (["sigma", "5"], "scanner"),
         ],
     )
-    def test_only_the_verbs_that_classify_ranges_import_numpy(self, argv, loads_numpy):
+    def test_only_the_verbs_that_classify_ranges_import_numpy(self, argv, modules):
+        # each verb imports only the vtnum modules it runs, and numpy only
+        # with the scanner; decimal is for the density ratios alone
         probe = (
             "import sys\n"
             "from vtnum.cli import dispatch\n"
             "code = dispatch(sys.argv[1:])\n"
-            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+            "loaded = sorted(m.removeprefix('vtnum.') for m in sys.modules if m.startswith('vtnum.'))\n"
+            "print(code, 'numpy' in sys.modules, 'decimal' in sys.modules, *loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                               text=True, timeout=60)
-        assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+        loaded = " ".join(sorted(["cli", "core", *modules.split()]))
+        numpy, decimal = "scanner" in modules, argv[0] == "density"
+        assert proc.stderr.splitlines()[-1] == f"0 {numpy} {decimal} {loaded}"
 
     def test_importing_vtnum_leaves_openblas_alone(self):
         # only `vt` picks OpenBLAS's thread count: a library must not set

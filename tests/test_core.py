@@ -230,8 +230,10 @@ class TestPackageNames:
         assert vtnum.__all__ == expected
         assert len(set(vtnum.__all__)) == len(vtnum.__all__)
         assert [name for name in vtnum.__all__ if not hasattr(vtnum, name)] == []
-        # the package knows the scanner's names before it imports the scanner
+        # the package knows each module's names before it imports the module
         assert list(vtnum._SCANNER_NAMES) == scanner.__all__
+        assert list(vtnum._FAMILIES_NAMES) == families.__all__
+        assert list(vtnum._ANALYSIS_NAMES) == analysis.__all__
 
     def test_record_and_checkpoint_error_names_moved_to_core(self):
         from vtnum import core, scanner
@@ -255,6 +257,16 @@ class TestPackageNames:
         assert public == set(vtnum.__all__) - {"__version__"} | {
             "analysis", "core", "families", "scanner"
         }
+
+    def test_importing_the_package_imports_core_alone(self):
+        probe = (
+            "import sys, vtnum\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('vtnum.')))\n"
+            "print(vtnum.VerificationError is vtnum.analysis.VerificationError)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout == "vtnum.core\nTrue\n"
 
     def test_importing_the_package_does_not_import_numpy(self):
         probe = (
