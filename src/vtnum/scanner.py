@@ -496,6 +496,7 @@ def _long_runs(seg: np.ndarray, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     positions that open min_len consecutive Trues; edge detection then
     meets only the long runs.
     """
+    min_len = min(min_len, seg.size)  # no run in seg is as long as seg
     parts, a = [], 0
     while True:
         b = min(a + _LIMB_BLOCK, seg.size - 1)
@@ -556,14 +557,15 @@ class _RunTracker:
     ``open_run`` is the (start, length so far) of the run still open
     after the last chunk fed, as checkpoints store it, and all that is
     kept of it.  With ``min_run_len`` None nothing else is tracked.
-    Otherwise each chunk fed returns the runs it closes, as
+    Otherwise each chunk fed returns the runs it closes, as batches of
     :class:`_RunColumns`: interior runs shorter than min_run_len are
     dropped without being visited, and runs touching either edge of the
     reporting range are always kept (flagged as truncated) so adjacent
-    summaries can be merged later.  An open run is rejoined one way,
-    whether it grew over earlier chunks or was left open by a
-    checkpointed scan: :meth:`_open_popcounts` recomputes its popcounts
-    when it closes or at :meth:`finish`.
+    summaries can be merged later.  The open run closes one way, whether
+    it grew over earlier chunks, was left open by a checkpointed scan or
+    ends at the range end: :meth:`_close` makes it a batch of its own
+    from its recomputed popcounts.  The chunk's other runs are columns
+    over the chunk's own popcounts.
     """
 
     def __init__(
@@ -576,53 +578,44 @@ class _RunTracker:
         self.min_run_len = min_run_len
         self.open_run = open_run
 
-    def _left(self, start: int) -> int:
-        """1 if a run starting here is truncated on the left, else 0."""
-        return int(start == self.report_lo and self.report_lo > 1)
-
-    def _open_popcounts(self) -> np.ndarray:
-        """The popcounts of the open run so far, recomputed from its indexes."""
-        start, length = self.open_run
-        pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
-        return np.array(pcs, dtype=np.min_scalar_type(max(pcs)))
-
-    def feed(self, chunk: _Chunk) -> _RunColumns | None:
-        """Advance past the chunk; return the runs it closes, or None when
-        runs are not tracked or the whole chunk is VT."""
-        m = chunk.vts.size
-        trail = _trailing_true(chunk.vts)
-        if trail == m:
-            # the whole chunk is VT: the open run grows, or starts here
-            start, length = self.open_run or (chunk.lo, 0)
-            self.open_run = (start, length + m)
-            return None
-        closed = self._close_runs(chunk, m - trail) if self.min_run_len is not None else None
-        self.open_run = (chunk.hi - trail + 1, trail) if trail else None
-        return closed
-
-    def _close_runs(self, chunk: _Chunk, end: int) -> _RunColumns:
-        """The runs that close inside the chunk, all before ``end``."""
-        lo, pcs = chunk.lo, chunk.pcs
-        if self.open_run is not None:  # it closes here: its earlier popcounts go first
-            lo, pcs = self.open_run[0], np.concatenate((self._open_popcounts(), pcs))
-        lead = _leading_true(chunk.vts)
-        # indexes lead and end - 1 are both non-VT
-        starts, stops = _long_runs(chunk.vts[lead:end], self.min_run_len)
-        head, left = pcs.size - chunk.pcs.size + lead, self._left(lo)  # head: the run at lo
-        starts, lengths, flags = starts + head, stops - starts, np.zeros(starts.size, np.uint8)
-        if head and (head >= self.min_run_len or left):
-            starts, lengths = np.append(0, starts), np.append(head, lengths)
-            flags = np.append(np.uint8(left), flags)
-        return _RunColumns(lo, pcs, starts, lengths, flags)
-
-    def finish(self) -> _RunColumns | None:
-        """The run open at the range end, when runs are tracked: maximality unproven there."""
+    def _close(self, right: bool) -> _RunColumns | None:
+        """The open run as a one-run batch, its popcounts recomputed from its
+        indexes; None when there is none, runs are not tracked, or it is
+        shorter than min_run_len and touches neither edge of the range
+        (``right``: it ends at the range end)."""
         if self.open_run is None or self.min_run_len is None:
             return None
         start, length = self.open_run
-        flags = np.array([self._left(start) + 2], dtype=np.uint8)
-        pcs = self._open_popcounts()
+        left = start == self.report_lo > 1
+        if length < self.min_run_len and not (left or right):
+            return None
+        pcs = [popcount_of_triangular(i) for i in range(start, start + length)]
+        pcs = np.array(pcs, dtype=np.min_scalar_type(max(pcs)))
+        flags = np.array([left + 2 * right], dtype=np.uint8)
         return _RunColumns(start, pcs, np.zeros(1, np.intp), np.array([length]), flags)
+
+    def feed(self, chunk: _Chunk) -> list[_RunColumns]:
+        """Advance past the chunk; return the runs it closes, in order: the run
+        open before it, grown by the chunk's leading VT indexes, then the
+        others.  Empty when runs are not tracked or the whole chunk is VT."""
+        m, lead = chunk.vts.size, _leading_true(chunk.vts)
+        start, length = self.open_run or (chunk.lo, 0)
+        self.open_run = (start, length + lead) if length + lead else None
+        if lead == m:  # the open run goes on past the chunk
+            return []
+        trail = _trailing_true(chunk.vts)
+        closed = [run] if (run := self._close(right=False)) is not None else []
+        if self.min_run_len is not None:
+            # indexes lead and m - trail - 1 are both non-VT
+            starts, stops = _long_runs(chunk.vts[lead : m - trail], self.min_run_len)
+            flags = np.zeros(starts.size, np.uint8)
+            closed.append(_RunColumns(chunk.lo, chunk.pcs, starts + lead, stops - starts, flags))
+        self.open_run = (chunk.hi - trail + 1, trail) if trail else None
+        return closed
+
+    def finish(self) -> _RunColumns | None:
+        """The run open at the range end, when runs are tracked: maximality unproven there."""
+        return self._close(right=True)
 
 
 # ---------------------------------------------------------------------------
@@ -665,20 +658,22 @@ class _Stats:
 
 def _drive(
     state: ScanCheckpoint,
-    tracker: _RunTracker,
+    min_run_len: int | None,
     *,
     chunk_size: int,
     fresh: bool = False,
     stats: _Stats | None = None,
-) -> Iterator[tuple[_Chunk, _RunColumns | None, ScanCheckpoint]]:
+) -> Iterator[tuple[_Chunk, list[_RunColumns], ScanCheckpoint]]:
     """Classify [state.next, state.hi] chunk by chunk, in ascending order.
 
     Each chunk is classified on the calling thread when the consumer
-    asks for it, and yielded with the runs it closes (what
-    :meth:`_RunTracker.feed` returns) and the checkpoint valid after it;
-    the checkpoint keeps ``state.fmt``.  Formatting, if any, is the
-    consumer's, one piece at a time.  ``tracker`` sees every chunk and
-    supplies the checkpoint's open run.
+    asks for it, and yielded with the batches of runs it closes and the
+    checkpoint valid after it; the checkpoint keeps ``state.fmt``.
+    Formatting, if any, is the consumer's, one piece at a time.  The
+    one :class:`_RunTracker` of the scan, built from ``state.open_run``
+    and ``min_run_len``, sees every chunk and supplies the checkpoint's
+    open run; the run open at the range end comes as the last batch of
+    the last chunk.  A finished ``state`` yields no chunk.
 
     The chunks are classified into one pair of popcount and verdict
     arrays that the scan owns, replaced only when a chunk's width or
@@ -690,6 +685,7 @@ def _drive(
     of each chunk are added to ``stats``, if given.
     """
     stats = _Stats() if stats is None else stats
+    tracker = _RunTracker(state.lo, min_run_len, state.open_run)
     vt_total, out = state.vt_count, None
     for lo, hi in _chunk_bounds(state.next, state.hi, chunk_size):
         started = time.perf_counter_ns()
@@ -697,6 +693,8 @@ def _drive(
         vt_total += chunk.vt_count
         classified = time.perf_counter_ns()
         closed = tracker.feed(chunk)
+        if hi == state.hi and (last := tracker.finish()) is not None:
+            closed.append(last)
         stats.track_ns += time.perf_counter_ns() - classified
         stats.classify_ns += classified - started
         stats.chunks += 1
@@ -773,22 +771,18 @@ def resume_scan(
     _require_threads(threads)
     _require_chunk(chunk_size)
     started = time.monotonic()
-    tracker = _RunTracker(checkpoint.lo, min_run_len, checkpoint.open_run)
     vt_total = checkpoint.vt_count
     runs: list[Run] = []
     start = replace(checkpoint, fmt=None)  # its checkpoints continue no byte stream
-    for chunk, closed, state in _drive(start, tracker, chunk_size=chunk_size):
+    for chunk, closed, state in _drive(start, min_run_len, chunk_size=chunk_size):
         if emit is not None:
             for record in chunk.iter_records():
                 emit(record)
-        if closed is not None:
-            runs += closed.runs()
+        for batch in closed:
+            runs += batch.runs()
         if checkpoint_path is not None:
             checkpoint_save(state, checkpoint_path)
         vt_total = state.vt_count
-    # a finished checkpoint has nothing left to report
-    if checkpoint.next <= checkpoint.hi and (last := tracker.finish()) is not None:
-        runs += last.runs()
     return ScanSummary(
         lo=checkpoint.lo,
         hi=checkpoint.hi,
@@ -856,27 +850,25 @@ def merge_summaries(a: ScanSummary, b: ScanSummary, *, min_run_len: int = 1) -> 
 def _run_stream(
     lo: int, hi: int, min_len: int, *, threads: int = 1, stats: _Stats | None = None
 ) -> Iterator[_RunColumns]:
-    """The runs of :func:`find_runs` as columns, one batch per chunk.
+    """The runs of :func:`find_runs` as columns, in batches: per chunk, the
+    run open before it, if it closes there, then the chunk's other runs,
+    and with the last chunk the run open at the range end.
 
     Each batch is yielded before the next chunk is classified, so a
     consumer that formats and writes it first holds one chunk's runs,
-    whatever the range length.  A batch may share its popcounts with
-    the scan's chunk arrays (see :func:`_drive`): it is valid only until
-    the consumer asks for the next batch.  ``stats`` is handed to
-    :func:`_drive`.
+    whatever the range length.  A chunk's batch of runs shares its
+    popcounts with the scan's chunk arrays (see :func:`_drive`): a batch
+    is valid only until the consumer asks for the next chunk's batches.
+    ``stats`` is handed to :func:`_drive`.
     """
     if min_len < 1:
         raise ParameterError(f"min_len must be >= 1, got {min_len}")
     _require_range(lo, hi)
     _require_threads(threads)
-    tracker = _RunTracker(lo, min_len)
     state = _start_state(lo, hi, None)
-    for _, closed, _ in _drive(state, tracker, chunk_size=DEFAULT_CHUNK, stats=stats):
-        if closed is not None:
-            yield closed.at_least(min_len)
+    for _, closed, _ in _drive(state, min_len, chunk_size=DEFAULT_CHUNK, stats=stats):
+        yield from (batch.at_least(min_len) for batch in closed)
         del closed  # release it before the next chunk is classified
-    if (last := tracker.finish()) is not None:
-        yield last.at_least(min_len)
 
 
 def find_runs(lo: int, hi: int, min_len: int, *, threads: int = 1) -> list[Run]:
@@ -1268,9 +1260,8 @@ def stream_scan(
             )
         state = resume
         header = b""  # the interrupted stream already wrote it
-    tracker = _RunTracker(lo, None, state.open_run)
     # a block may be kept past the next one, so each gets a chunk of its own
-    for chunk, _, checkpoint in _drive(state, tracker, chunk_size=chunk_size, fresh=True):
+    for chunk, _, checkpoint in _drive(state, None, chunk_size=chunk_size, fresh=True):
         yield StreamBlock(checkpoint, header, chunk)
         header = b""
         del chunk  # release it before the next chunk is classified

@@ -1,6 +1,7 @@
 """Command line surface: verbs, formats, exit codes, determinism."""
 import dataclasses
 import errno
+import io
 import json
 import os
 import select
@@ -428,6 +429,31 @@ class TestScanStats:
         assert all(stats[k] > 0 for k in ("classify_s", "format_s", "write_wait_s"))
         assert (stats["checkpoint_s"] > 0) == (saves > 0)
 
+    def test_stages_cover_the_wall_time(self, monkeypatch):
+        # classify, format, write wait and checkpoint account for at least
+        # 90% of a 2^21-row scan's wall time once the scanner is imported:
+        # the first call, whose imports no stage covers, is a warm-up
+        lo = 2**31 + 12345
+        argv = ["scan", "--from", str(lo), "--to", str(lo + 2**21 - 1), "--stats"]
+
+        class Sink:
+            def write(self, data):
+                return len(data)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=sink, flush=sink.flush))
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stderr", io.StringIO())
+            started = time.perf_counter()
+            assert dispatch(argv) == 0
+            wall = time.perf_counter() - started
+        stats = json.loads(sys.stderr.getvalue().splitlines()[-1])
+        stages = ("classify_s", "format_s", "write_wait_s", "checkpoint_s")
+        assert sum(stats[k] for k in stages) >= 0.9 * wall
+
 
 class TestRunsAndTwins:
     def test_runs_json_lines(self, capsysbinary):
@@ -452,6 +478,11 @@ class TestRunsAndTwins:
         code, out, _ = run_cli(["twins", "--from", "8", "--to", "18"], capsysbinary)
         assert code == 0
         assert out == b""
+
+    def test_min_len_past_a_word(self, capsysbinary):
+        # no run is longer than the range, so no run is printed, and no traceback
+        argv = ["runs", "--from", "1", "--to", "3000", "--min-len", str(2**63 + 1)]
+        assert run_cli(argv, capsysbinary) == (0, b"", "")
 
     @pytest.mark.parametrize(
         "lo,hi",

@@ -531,6 +531,14 @@ class TestRuns:
         with pytest.raises(ParameterError):
             find_runs(1, 100, 0)
 
+    @pytest.mark.parametrize("min_len", [2**63 - 1, 2**63 + 1, 2**64])
+    def test_min_len_past_a_word(self, min_len):
+        # no run is longer than the range searched, so none is that long
+        assert find_runs(1, 3000, min_len) == []
+        for chunk in (7, 1 << 20):
+            got = scan(1, 3000, min_run_len=min_len, chunk_size=chunk)
+            assert got == scan(1, 3000, min_run_len=10**6, chunk_size=chunk)
+
 
 def _ref_mask_runs(bits):
     """(start, length) of each maximal block of Trues in a list of bools."""
@@ -622,6 +630,27 @@ class TestRunTrackerOracle:
         assert scan(lo, hi, min_run_len=min_len, chunk_size=chunk).runs_found == want
         assert find_runs(lo, hi, min_len) == [r for r in want if r.length >= min_len]
 
+
+    def test_feed_copies_no_chunk_popcounts(self):
+        # a run open across the chunk boundary closes as a batch of its own,
+        # from its recomputed popcounts: the chunk's popcounts are not copied
+        # behind them, and its other runs are columns over chunk.pcs itself
+        a = 2**31 + 12345
+        chunk = _classify(a, a + 2**20 - 1)
+        tracker = _RunTracker(a - 3, 6, open_run=(a - 3, 3))
+        tracemalloc.start()
+        try:
+            closed = tracker.feed(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk.pcs.nbytes // 4
+        first, rest = closed
+        length = 3 + _leading_true(chunk.vts)
+        assert (first.lo, first.starts.tolist(), first.lengths.tolist()) == (a - 3, [0], [length])
+        assert first.pcs.tolist() == [popcount_of_triangular(n) for n in range(a - 3, a - 3 + length)]
+        assert first.flags.tolist() == [1]  # it starts at the reporting range's lo > 1
+        assert rest.lo == a and rest.pcs is chunk.pcs and rest.lengths.min() >= 6
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -755,13 +784,10 @@ class TestRunStream:
         states = [b.checkpoint for b in blocks if b.checkpoint.open_run is not None]
         assert states
         for state in states:
-            tracker = _RunTracker(lo, min_len, state.open_run)
             # a batch may share the scan's chunk arrays: each is formatted
             # before the next chunk is classified
             got = [b"".join(_format_runs(runs.at_least(min_len)))
-                   for _, runs, _ in _drive(state, tracker, chunk_size=chunk) if runs is not None]
-            if (last := tracker.finish()) is not None:
-                got.append(b"".join(_format_runs(last.at_least(min_len))))
+                   for _, closed, _ in _drive(state, min_len, chunk_size=chunk) for runs in closed]
             # the runs that close at or past the frontier, the one open there rejoined whole
             want = [line for line in lines
                     if sum(json.loads(line)[k] for k in ("start", "length")) >= state.next]
