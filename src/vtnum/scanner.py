@@ -3,13 +3,18 @@
 The scanner walks indexes in ascending order and classifies each t_n
 by the popcount test.  Ranges are cut into fixed chunks, split at
 FAST_INDEX_LIMIT, so a chunk's index range alone picks one of two tiers.
-One vectorized numpy kernel runs both, exact at any index size: over
-2^15-row sub-blocks it sums t_(a+i) = t_a + i*a + t_i in uint64 columns
-of one reused buffer, and only the columns differ by tier:
+One vectorized numpy loop runs both, exact at any index size, over
+B = 2^15-row sub-blocks in uint64 columns of one reused buffer, and only
+the columns differ by tier:
 
-    n <= FAST_INDEX_LIMIT   t_n < 2^64 fits one uint64 word: one column
-    larger n                t_n as 32-bit limbs, one column each, with
-                            the carries propagated limb by limb
+    n <= FAST_INDEX_LIMIT   t_n < 2^64 fits one uint64 word: one running
+                            column, t_(a+B+i) = t_(a+i) + B*i + (t_(a+B) - t_a),
+                            two adds a sub-block, and two verdicts a lookup
+    larger n                t_(a+i) = t_a + i*a + t_i as 32-bit limbs, one
+                            column each, the carries propagated limb by limb
+
+The word tier's pair table (128 KB) stays resident once built, and its
+B*i row (256 KB) while a chunk is classified.
 
 A chunk keeps only its popcounts and verdicts; t is rebuilt from n for
 each piece that is formatted.  Chunks are classified on the calling
@@ -379,6 +384,21 @@ def _vt_by_popcount(bits: int) -> np.ndarray:
 
 
 @functools.cache
+def _vt_pairs() -> np.ndarray:
+    """The verdicts of two one-word popcounts per entry, read-only.
+
+    Entry p0 + 256*p1 holds the verdict of popcount p0 in its low byte and
+    of p1 in its high byte, so that a '<u2' view of two rows' popcounts
+    indexes the '<u2' view of their two verdicts on any byte order.
+    """
+    one = np.zeros(256, dtype="<u2")
+    one[:65] = _vt_by_popcount(64)
+    pairs = (one[None, :] | one[:, None] << 8).ravel()
+    pairs.flags.writeable = False
+    return pairs
+
+
+@functools.cache
 def _block_tables(dtype: type = np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """i and t_i for every row i < _LIMB_BLOCK of a sub-block, read-only.
 
@@ -405,13 +425,18 @@ def _classify(lo: int, hi: int, out: _Chunk | None = None) -> _Chunk:
     In _LIMB_BLOCK-row sub-blocks starting at a, t_(a+i) = t_a + i*a + t_i
     is summed in columns of one reused buffer, no row depending on the one
     before it; i and t_i come from _block_tables, and t_i is the first
-    carry.  Up to FAST_INDEX_LIMIT the one column is the whole word: every
-    term and partial sum is at most t_(a+i) < 2^64, and its popcount goes
-    straight into the chunk.  Past it, a and t_a are cut into 32-bit limbs
-    a_j and c_j, and column j is i*a_j + c_j plus the carry out of column
-    j - 1: it stays below 2^48, its low 32 bits are limb j of t_(a+i) and
-    the rest carries on.  The verdicts are looked up one sub-block at a
-    time: np.take casts its indexes to intp, 8 bytes a row.
+    carry.  Up to FAST_INDEX_LIMIT the one column is the whole word, and
+    it runs on: every sub-block after a chunk's first adds B*i and
+    t_a - t_(a-B) to the column of the one before (B = _LIMB_BLOCK; B*i
+    is the buffer's second row, filled once per chunk).  Every term and
+    partial sum is at most t_(a+i) < 2^64, and its popcount goes straight
+    into the chunk.  Past it, a and t_a are cut into 32-bit limbs a_j and
+    c_j, and column j is i*a_j + c_j plus the carry out of column j - 1:
+    it stays below 2^48, its low 32 bits are limb j of t_(a+i) and the
+    rest carries on.  The word tier looks up two verdicts at a time in
+    _vt_pairs, through '<u2' views of the popcounts and verdicts.  The
+    limb tier, and a word-tier sub-block of odd length, look up one a row
+    with np.take, which casts its indexes to intp, 8 bytes a row.
     """
     word = hi <= FAST_INDEX_LIMIT
     bits = 64 if word else triangular(hi).bit_length()
@@ -424,26 +449,35 @@ def _classify(lo: int, hi: int, out: _Chunk | None = None) -> _Chunk:
     counts = np.empty(block.shape[1], dtype=np.uint8)  # uint64 counts added to pcs cast row by row
     (rows, t_rows), table = _block_tables(), _vt_by_popcount(bits)
     for s in range(0, pcs.size, _LIMB_BLOCK):
-        a, out = lo + s, pcs[s : s + _LIMB_BLOCK]
+        a, out, verdicts = lo + s, pcs[s : s + _LIMB_BLOCK], vts[s : s + _LIMB_BLOCK]
         i, carry = rows[: out.size], t_rows[: out.size]
         column, spill = block[:, : out.size]
         if word:
-            terms = [(np.uint64(a), np.uint64(triangular(a)))]
+            if s:  # the running column; spill holds B*i
+                column += spill
+                column += np.uint64(triangular(a) - triangular(a - _LIMB_BLOCK))
+            else:
+                np.multiply(i, np.uint64(a), out=column)
+                column += np.uint64(triangular(a))
+                column += carry
+                np.multiply(i, np.uint64(_LIMB_BLOCK), out=spill)
+            np.bitwise_count(column, out=out)
         else:
             count = triangular(a + out.size - 1).bit_length() // 32 + 1
-            terms = zip(_limbs(a, count), _limbs(triangular(a), count))
             out[...] = 0
-        for a_j, c_j in terms:
-            np.multiply(i, a_j, out=column)
-            column += c_j
-            column += carry
-            if word:
-                np.bitwise_count(column, out=out)
-            else:
+            for a_j, c_j in zip(_limbs(a, count), _limbs(triangular(a), count)):
+                np.multiply(i, a_j, out=column)
+                column += c_j
+                column += carry
                 carry = np.right_shift(column, 32, out=spill)
                 column &= _LOW32
                 out += np.bitwise_count(column, out=counts[: out.size])
-        np.take(table, out, out=vts[s : s + _LIMB_BLOCK])
+        if word and out.size % 2 == 0:
+            # every uint16 index is in the table, so "clip" never clips; it skips
+            # the buffered copy that the default "raise" makes of `out`
+            np.take(_vt_pairs(), out.view("<u2"), out=verdicts.view("<u2"), mode="clip")
+        else:
+            np.take(table, out, out=verdicts)
     return _Chunk(lo, hi, pcs, vts)
 
 

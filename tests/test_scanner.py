@@ -60,6 +60,8 @@ from vtnum.scanner import (
     _long_runs,
     _run_stream,
     _trailing_true,
+    _vt_by_popcount,
+    _vt_pairs,
 )
 
 
@@ -248,6 +250,91 @@ class TestWordTier:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
+
+
+def _chunked(lo, hi, chunk_size):
+    """The pcs and vts of [lo, hi], classified as a scan does: chunk by chunk into one reused pair."""
+    pcs, vts, out = [], [], None
+    for a, b in _chunk_bounds(lo, hi, chunk_size):
+        out = _classify(a, b, out)
+        pcs.append(out.pcs.copy())
+        vts.append(out.vts.copy())
+    return np.concatenate(pcs), np.concatenate(vts)
+
+
+def _assert_matches_reference(ref, lo, pcs, vts):
+    """pcs and vts classify the indexes from lo on, by the brute-force oracle."""
+    want = [ref.popcount(ref.triangular(n)) for n in range(lo, lo + pcs.size)]
+    small = ref.triangular_set(max(want))
+    assert pcs.tolist() == want
+    assert vts.tolist() == [pc in small for pc in want]
+
+
+# word-tier windows for chunk sizes 1 to 997: from 1, across 2^32 and
+# ending at FAST_INDEX_LIMIT, with odd and even last sub-blocks
+_PAIR_WINDOWS = [(1, 3000), (2**32 - 1500, 2**32 + 1501), (FAST_INDEX_LIMIT - 2999, FAST_INDEX_LIMIT)]
+
+
+class TestPairLookup:
+    """The word tier's verdicts, two a lookup, against the one-a-row table."""
+
+    def test_every_pair_of_popcounts(self):
+        pc0, pc1 = (a.ravel() for a in np.meshgrid(np.arange(65), np.arange(65)))
+        rows = np.stack([pc0, pc1], axis=1).astype(np.uint8)  # two popcount bytes per row
+        verdicts = _vt_pairs()[rows.view("<u2").ravel()].astype("<u2").view(np.uint8)
+        one = _vt_by_popcount(64)
+        assert verdicts.tolist() == np.stack([one[pc0], one[pc1]], axis=1).ravel().tolist()
+        assert [pc for pc in range(65) if one[pc]] == sorted(_TRIANGULAR_PCS)
+
+    def test_table_is_read_only(self):
+        table = _vt_pairs()
+        assert table.shape == (1 << 16,) and table.nbytes == 128 * 1024
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 997])
+    @pytest.mark.parametrize("lo,hi", _PAIR_WINDOWS)
+    def test_flags_and_counts_at_small_chunks(self, lo, hi, chunk):
+        pcs = [popcount_of_triangular(n) for n in range(lo, hi + 1)]
+        flags = [pc in _TRIANGULAR_PCS for pc in pcs]
+        got_pcs, got_flags = _chunked(lo, hi, chunk)
+        assert got_pcs.tolist() == pcs
+        assert got_flags.tolist() == flags
+        assert vt_flags(lo, hi).tolist() == flags
+        assert scan(lo, hi, min_run_len=None, chunk_size=chunk).vt_count == sum(flags)
+        assert count_vt(lo, hi) == sum(flags)
+
+
+class TestRunningColumn:
+    """The word tier's column carried from sub-block to sub-block, against the oracle."""
+
+    def test_full_chunk_ending_at_the_limit(self, ref):
+        # the partial sums come closest to 2^64 here
+        lo = FAST_INDEX_LIMIT - (1 << 20) + 1
+        chunk = _classify(lo, FAST_INDEX_LIMIT)
+        _assert_matches_reference(ref, lo, chunk.pcs, chunk.vts)
+
+    def test_chunk_across_2_32(self, ref):
+        lo = 2**32 - (1 << 19) - 12345
+        chunk = _classify(lo, lo + (1 << 20) - 1)
+        _assert_matches_reference(ref, lo, chunk.pcs, chunk.vts)
+
+    def test_two_chunks_into_one_pair(self, ref):
+        lo, size = 2**31 + 12345, 3 * _LIMB_BLOCK + 10
+        first = _classify(lo, lo + size - 1)
+        _assert_matches_reference(ref, lo, first.pcs, first.vts)
+        again = _classify(lo + size, lo + 2 * size - 1, first)
+        assert again.pcs is first.pcs and again.vts is first.vts
+        _assert_matches_reference(ref, lo + size, again.pcs, again.vts)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        lo=st.integers(min_value=1, max_value=FAST_INDEX_LIMIT - (1 << 17)),
+        length=st.integers(min_value=1, max_value=4 * _LIMB_BLOCK + 7),
+        chunk=st.sampled_from([1, 7, _LIMB_BLOCK + 1, 1 << 20]),
+    )
+    def test_any_window_and_chunk_size(self, ref, lo, length, chunk):
+        pcs, vts = _chunked(lo, lo + length - 1, chunk)
+        _assert_matches_reference(ref, lo, pcs, vts)
 
 
 def _ref_rows(ref, lo, hi):
