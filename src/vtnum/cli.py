@@ -20,10 +20,9 @@ Results go to stdout, diagnostics to stderr.  Exit status is 0 on
 success, 1 when a sweep finds counterexamples, a verified claim fails
 its check or stdout refuses the output, 2 on usage errors.  Identical
 argument vectors produce identical stdout bytes.  Classification runs on
-the calling thread: ``--threads`` and ``VT_THREADS`` are validated (a bad
-value is a usage error) but change nothing.  Output that comes in more
-than one piece is written to stdout from the second piece on by one
-writer thread, while the calling thread makes the next piece.
+the calling thread.  Output that comes in more than one piece is written
+to stdout from the second piece on by one writer thread, while the
+calling thread makes the next piece.
 
 At import this module loads only :mod:`vtnum.core` and the standard
 library the parser needs.  Each handler imports the modules it runs
@@ -305,9 +304,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             resume = checkpoint_resume(args.checkpoint)
     last_state = resume
     stats = _Stats()
-    blocks = stream_scan(
-        args.from_, args.to, args.emit, threads=_resolve_threads(args), resume=resume
-    )
+    blocks = stream_scan(args.from_, args.to, args.emit, resume=resume)
     with _Stdout() as out:
         while True:
             asked = time.perf_counter_ns()
@@ -341,8 +338,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_runs(args: argparse.Namespace, min_len: int) -> int:
-    """One jsonl line per run of find_runs(args.from_, args.to, min_len), written chunk by chunk.
+def _write_runs(args: argparse.Namespace) -> int:
+    """One jsonl line per run of find_runs(args.from_, args.to, args.min_len), chunk by chunk.
+
+    Both ``vt runs`` and ``vt twins`` run here; twins is runs with min_len 2.
 
     A chunk's runs share the scan's chunk arrays, so they are formatted
     and written before the next chunk is classified.  Where the time
@@ -350,25 +349,16 @@ def _write_runs(args: argparse.Namespace, min_len: int) -> int:
     line with ``--stats``: the scanner's classify and track times, the
     time spent making pieces, and the wait for each to be written.
     """
-    threads = _resolve_threads(args)
     from .scanner import _format_runs, _run_stream, _Stats
 
     stats = _Stats()
     with _Stdout() as out:
-        for runs in _run_stream(args.from_, args.to, min_len, threads=threads, stats=stats):
+        for runs in _run_stream(args.from_, args.to, args.min_len, stats=stats):
             _write_pieces(out, _format_runs(runs), stats)
             runs = None  # not kept while the next chunk is classified
     if args.stats:
         print(stats.json_line(_RUN_STATS), file=sys.stderr)
     return 0
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    return _write_runs(args, args.min_len)
-
-
-def _cmd_twins(args: argparse.Namespace) -> int:
-    return _write_runs(args, 2)
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
@@ -538,19 +528,6 @@ def _cmd_ap(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("VT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"VT_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ParameterError(f"VT_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _add_range(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--from", dest="from_", type=int, required=True, metavar="N",
                      help="first index of the range")
@@ -563,22 +540,9 @@ def _add_emit(sub: argparse.ArgumentParser) -> None:
                      help="output format (default: jsonl)")
 
 
-def _add_threads(sub: argparse.ArgumentParser) -> None:
-    # resolved lazily so a malformed VT_THREADS only affects verbs that scan
-    sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="accepted and validated (>= 1; default: VT_THREADS or 1), "
-                          "but classification always runs on one thread")
-
-
 def _add_stats(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stats", action="store_true",
                      help="print where the time went as one JSON line on stderr")
-
-
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    return _default_threads()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -620,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_emit(sub)
     sub.add_argument("--checkpoint", metavar="FILE",
                      help="write resumable state here; resume from it if it exists")
-    _add_threads(sub)
     _add_stats(sub)
     sub.set_defaults(func=_cmd_scan)
 
@@ -628,15 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_range(sub)
     sub.add_argument("--min-len", type=int, default=2, metavar="K",
                      help="shortest run to report (default: 2)")
-    _add_threads(sub)
     _add_stats(sub)
-    sub.set_defaults(func=_cmd_runs)
+    sub.set_defaults(func=_write_runs)
 
     sub = verbs.add_parser("twins", help="adjacent VT pairs (runs of length >= 2)")
     _add_range(sub)
-    _add_threads(sub)
     _add_stats(sub)
-    sub.set_defaults(func=_cmd_twins)
+    sub.set_defaults(func=_write_runs, min_len=2)
 
     sub = verbs.add_parser("sigma", help="the first COUNT very triangular indexes")
     sub.add_argument("count", type=int, metavar="COUNT")

@@ -20,7 +20,8 @@ A chunk keeps only its popcounts and verdicts; t is rebuilt from n for
 each piece that is formatted.  Chunks are classified on the calling
 thread, one at a time and in ascending range order, so output is byte
 deterministic.  The ``threads`` keyword of the scanning functions is
-validated but changes nothing.
+validated but changes nothing; it stays until the benchmark's
+``probe_pool`` stops passing it.
 
 Output formats (byte exact, ASCII):
 
@@ -768,7 +769,8 @@ def scan(
     is given, a resumable checkpoint is written atomically after each
     chunk; hand it to :func:`resume_scan` to continue an interrupted
     scan.  ``threads`` is validated but changes nothing: every chunk is
-    classified on the calling thread.
+    classified on the calling thread.  It stays until the benchmark's
+    ``probe_pool`` stops passing it.
     """
     _require_range(lo, hi)
     return resume_scan(
@@ -882,7 +884,7 @@ def merge_summaries(a: ScanSummary, b: ScanSummary, *, min_run_len: int = 1) -> 
 
 
 def _run_stream(
-    lo: int, hi: int, min_len: int, *, threads: int = 1, stats: _Stats | None = None
+    lo: int, hi: int, min_len: int, *, stats: _Stats | None = None
 ) -> Iterator[_RunColumns]:
     """The runs of :func:`find_runs` as columns, in batches: per chunk, the
     run open before it, if it closes there, then the chunk's other runs,
@@ -898,7 +900,6 @@ def _run_stream(
     if min_len < 1:
         raise ParameterError(f"min_len must be >= 1, got {min_len}")
     _require_range(lo, hi)
-    _require_threads(threads)
     state = _start_state(lo, hi, None)
     for _, closed, _ in _drive(state, min_len, chunk_size=DEFAULT_CHUNK, stats=stats):
         yield from (batch.at_least(min_len) for batch in closed)
@@ -912,7 +913,8 @@ def find_runs(lo: int, hi: int, min_len: int, *, threads: int = 1) -> list[Run]:
     corresponding truncation flag set, since their full extent may
     continue outside the range.
     """
-    return [run for runs in _run_stream(lo, hi, min_len, threads=threads) for run in runs.runs()]
+    _require_threads(threads)
+    return [run for runs in _run_stream(lo, hi, min_len) for run in runs.runs()]
 
 
 def find_twins(lo: int, hi: int, *, threads: int = 1) -> list[Run]:
@@ -1264,15 +1266,15 @@ def stream_scan(
     Each block is classified on the calling thread when it is asked
     for, and formatted only when its :meth:`StreamBlock.pieces` or
     ``payload`` is read.  ``threads`` is validated but changes nothing:
-    classification does not run on worker threads.  Persist a block's
+    classification does not run on worker threads.  It stays until the
+    benchmark's ``probe_pool`` stops passing it.  Persist a block's
     checkpoint only once its bytes are written and flushed: a consumer
     that writes on another thread puts its barrier there (see
-    :class:`StreamBlock`).  With
-    ``resume``, emission continues from resume.next and the csv header
-    is suppressed (the interrupted stream already wrote it);
-    concatenating the two outputs reproduces an uninterrupted run byte
-    for byte.  A ``resume`` checkpoint for another range or another
-    format raises :class:`CheckpointStateError`.
+    :class:`StreamBlock`).  With ``resume``, emission continues from
+    resume.next and the csv header is suppressed (the interrupted stream
+    already wrote it); concatenating the two outputs reproduces an
+    uninterrupted run byte for byte.  A ``resume`` checkpoint for another
+    range or another format raises :class:`CheckpointStateError`.
     """
     _require_range(lo, hi)
     _require_threads(threads)

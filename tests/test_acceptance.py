@@ -250,6 +250,6 @@ def test_criterion_11_parallel_determinism(_report):
     expected = "69989d678cde8923f970357ffdc95bffa42b0c48f270d94f18cb22da81196a6f"
     d1, d4, d8 = digest(1), digest(4), digest(8)
     ok = d1 == d4 == d8 == expected
-    _report(11, ok, f"sha256(jsonl over [1, 1e6]) = {d1[:16]}... for 1/4/8 workers")
+    _report(11, ok, f"sha256(jsonl over [1, 1e6]) = {d1[:16]}... at threads=1/4/8")
     assert d1 == d4 == d8
     assert d1 == expected

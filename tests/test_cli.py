@@ -1,4 +1,5 @@
 """Command line surface: verbs, formats, exit codes, determinism."""
+import argparse
 import dataclasses
 import errno
 import io
@@ -168,46 +169,58 @@ class TestScan:
         assert code == 2
         assert "lo <= hi" in err
 
-    def test_threads_flag_changes_nothing(self, capsysbinary):
-        _, baseline, _ = run_cli(["scan", "--from", "1", "--to", "4000"], capsysbinary)
-        for threads in ("2", "8"):
-            _, out, _ = run_cli(
-                ["scan", "--from", "1", "--to", "4000", "--threads", threads],
-                capsysbinary,
-            )
-            assert out == baseline
-
-    def test_env_default_threads(self, capsysbinary, monkeypatch):
-        _, baseline, _ = run_cli(["scan", "--from", "1", "--to", "2000"], capsysbinary)
-        monkeypatch.setenv("VT_THREADS", "4")
-        _, out, _ = run_cli(["scan", "--from", "1", "--to", "2000"], capsysbinary)
-        assert out == baseline
-
-    def test_env_rejects_garbage(self, capsysbinary, monkeypatch):
-        monkeypatch.setenv("VT_THREADS", "soon")
-        code, _, err = run_cli(["scan", "--from", "1", "--to", "10"], capsysbinary)
-        assert code == 2
-        assert "VT_THREADS" in err
-
     @pytest.mark.parametrize("verb", ["scan", "runs", "twins"])
-    @pytest.mark.parametrize(
-        "flag,env", [("0", None), ("x", None), (None, "0"), (None, "soon")]
-    )
-    def test_bad_thread_values_are_one_line(self, capsysbinary, monkeypatch, verb, flag, env):
-        argv = [verb, "--from", "1", "--to", "10"]
-        if flag is not None:
-            argv += ["--threads", flag]
-        if env is not None:
-            monkeypatch.setenv("VT_THREADS", env)
+    @pytest.mark.parametrize("value", ["0", "1", "2", "x"])
+    def test_threads_flag_is_a_usage_error(self, capsysbinary, verb, value):
+        argv = [verb, "--from", "1", "--to", "10", "--threads", value]
         code, out, err = run_cli(argv, capsysbinary)
         assert code == 2
         assert out == b""
-        assert err.count("\n") == 1 and "threads" in err.lower()
+        assert err.count("\n") == 1 and "--threads" in err
 
-    def test_env_ignored_by_non_scanning_verbs(self, capsysbinary, monkeypatch):
-        monkeypatch.setenv("VT_THREADS", "soon")
-        code, _, _ = run_cli(["check", "7"], capsysbinary)
-        assert code == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--from", "1", "--to", "2000"],
+            ["runs", "--from", "1", "--to", "2000", "--min-len", "1"],
+            ["twins", "--from", "1", "--to", "2000"],
+            ["check", "7"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["4", "0", "soon"])
+    def test_vt_threads_is_ignored(self, capsysbinary, monkeypatch, argv, value):
+        monkeypatch.delenv("VT_THREADS", raising=False)
+        unset = run_cli(argv, capsysbinary)
+        monkeypatch.setenv("VT_THREADS", value)
+        assert run_cli(argv, capsysbinary) == unset
+        assert unset[0] == 0
+
+    def test_twins_takes_no_min_len(self, capsysbinary):
+        argv = ["twins", "--from", "1", "--to", "10", "--min-len", "3"]
+        code, out, err = run_cli(argv, capsysbinary)
+        assert code == 2
+        assert out == b""
+        assert err.count("\n") == 1 and "--min-len" in err
+
+    def test_range_verb_options(self):
+        verbs = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        options = {
+            verb: [
+                option
+                for action in verbs[verb]._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings
+            ]
+            for verb in ("scan", "runs", "twins")
+        }
+        assert options == {
+            "scan": ["--from", "--to", "--emit", "--checkpoint", "--stats"],
+            "runs": ["--from", "--to", "--min-len", "--stats"],
+            "twins": ["--from", "--to", "--stats"],
+        }
 
     def test_peak_memory_is_a_chunk_not_its_bytes(self, monkeypatch):
         # 2^20 rows of 10-digit n: about 65 MB of jsonl, written a piece at a time
@@ -233,15 +246,13 @@ class TestScan:
         assert lines == 2**18
         assert peak < 13 * 2**20
 
-    def test_peak_memory_does_not_grow_with_threads(self, monkeypatch):
-        # as if on 4 CPUs: a second thread must not hold more chunks in flight
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_peak_memory_of_a_runs_search(self, monkeypatch):
         lo = 2**31 + 12345
         argv = ["runs", "--min-len", "6", "--from", str(lo), "--to", str(lo + 2**22 - 1)]
-        code, lines, peak = traced_main(monkeypatch, [*argv, "--threads", "2"])
+        code, lines, peak = traced_main(monkeypatch, argv)
         assert code == 0
         assert lines == 29
-        # --threads 1 peaks at about 6 MiB
+        # about 6 MiB
         assert peak < 28 * 2**20
 
 

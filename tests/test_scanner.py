@@ -96,8 +96,17 @@ class TestScanBasics:
             scan(lo, hi)
 
     def test_rejects_bad_threads_and_chunks(self):
-        with pytest.raises(ParameterError):
-            scan(1, 10, threads=0)
+        checkpoint = ScanCheckpoint(CHECKPOINT_VERSION, 1, 10, 1, 0, None, 0, None)
+        for call in (
+            lambda: scan(1, 10, threads=0),
+            lambda: resume_scan(checkpoint, threads=0),
+            lambda: count_vt(1, 10, threads=0),
+            lambda: find_runs(1, 10, 2, threads=0),
+            lambda: find_twins(1, 10, threads=0),
+            lambda: list(stream_scan(1, 10, threads=0)),
+        ):
+            with pytest.raises(ParameterError, match="threads"):
+                call()
         with pytest.raises(ParameterError):
             scan(1, 10, chunk_size=0)
 
