@@ -18,11 +18,12 @@ Every operation in the package is reachable through one verb:
 
 Results go to stdout, diagnostics to stderr.  Exit status is 0 on
 success, 1 when a sweep finds counterexamples, a verified claim fails
-its check or stdout refuses the output, 2 on usage errors.  Identical
-argument vectors produce identical stdout bytes.  Classification runs on
-the calling thread.  Output that comes in more than one piece is written
-to stdout from the second piece on by one writer thread, while the
-calling thread makes the next piece.
+its check or stdout refuses the output, 2 on usage errors.  A closed
+stderr loses the diagnostics and changes neither the status nor
+stdout.  Identical argument vectors produce identical stdout bytes.
+Classification runs on the calling thread.  Output that comes in more
+than one piece is written to stdout from the second piece on by one
+writer thread, while the calling thread makes the next piece.
 
 At import this module loads only :mod:`vtnum.core` and the standard
 library the parser needs.  Each handler imports the modules it runs
@@ -45,7 +46,7 @@ import stat
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 from . import __version__
@@ -64,7 +65,7 @@ from .core import (
 if TYPE_CHECKING:
     from .scanner import _Stats
 
-__all__ = ["emit", "dispatch", "main"]
+__all__ = ["emit", "dispatch", "main", "run"]
 
 
 def emit(records: Iterable[VtRecord], fmt: str = "jsonl") -> Iterator[bytes]:
@@ -102,6 +103,15 @@ def _raise_write_error(error: Exception) -> NoReturn:
     if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
         raise _OutputError(f"cannot write output: {error.strerror or error}") from error
     raise error
+
+
+def _warn(text: str) -> None:
+    """Write a diagnostic to stderr.  A closed stderr (None, or refusing
+    the write) loses it and changes nothing else: not the exit status,
+    and not stdout, where print(file=None) would send it."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(text)
 
 
 class _Stdout:
@@ -221,7 +231,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.value:
             index = is_triangular(raw) if raw >= 0 else None
             if index is None:
-                print(f"vt: {raw} is not a triangular number", file=sys.stderr)
+                _warn(f"vt: {raw} is not a triangular number\n")
                 return 1
             records.append(classify_index(index))
         else:
@@ -329,12 +339,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         os.remove(args.checkpoint)  # finished: a rerun starts fresh
     vt_total = last_state.vt_count if last_state is not None else 0
-    print(
-        f"scanned [{args.from_}, {args.to}]: {vt_total} very triangular",
-        file=sys.stderr,
-    )
+    _warn(f"scanned [{args.from_}, {args.to}]: {vt_total} very triangular\n")
     if args.stats:
-        print(stats.json_line(_SCAN_STATS), file=sys.stderr)
+        _warn(stats.json_line(_SCAN_STATS) + "\n")
     return 0
 
 
@@ -357,7 +364,7 @@ def _write_runs(args: argparse.Namespace) -> int:
             _write_pieces(out, _format_runs(runs), stats)
             runs = None  # not kept while the next chunk is classified
     if args.stats:
-        print(stats.json_line(_RUN_STATS), file=sys.stderr)
+        _warn(stats.json_line(_RUN_STATS) + "\n")
     return 0
 
 
@@ -404,7 +411,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         }]
     )
     if not witness.matches:
-        print(f"vt: family {args.name} witness failed verification", file=sys.stderr)
+        _warn(f"vt: family {args.name} witness failed verification\n")
         return 1
     return 0
 
@@ -436,10 +443,9 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
     )
     expected_nonempty = report.n in (4, 5, 6) or report.n > 9
     if expected_nonempty and not report.witnesses:
-        print(
+        _warn(
             f"vt: no witness found in (t_{report.n}, t_{2 * report.n}), "
-            "contradicting the interval theorem",
-            file=sys.stderr,
+            "contradicting the interval theorem\n"
         )
         return 1
     return 0
@@ -464,7 +470,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
         }]
     )
     if not (report.all_non_vt and report.predictions_match):
-        print(f"vt: gap window for k = {report.k} failed verification", file=sys.stderr)
+        _warn(f"vt: gap window for k = {report.k} failed verification\n")
         return 1
     return 0
 
@@ -486,7 +492,7 @@ def _cmd_periodicity(args: argparse.Namespace) -> int:
         }
     _write_json_lines([payload])
     if not holds:
-        print("vt: periodicity check failed", file=sys.stderr)
+        _warn("vt: periodicity check failed\n")
         return 1
     return 0
 
@@ -497,10 +503,9 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     hits = conjecture_no6(args.weight, args.max_bits)
     _write(emit([classify_index(n) for n in hits], args.emit))
     swept = math.comb(args.max_bits, args.weight)
-    print(
+    _warn(
         f"swept {swept} indexes of weight {args.weight} below 2^{args.max_bits}: "
-        f"{len(hits)} counterexamples",
-        file=sys.stderr,
+        f"{len(hits)} counterexamples\n"
     )
     return 1 if hits else 0
 
@@ -555,7 +560,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse drops a failed write's error: an unbuffered stdout that
         # refused --help or --version would exit 0 with the text lost
         if file is not sys.stdout:  # stderr; a closed stdout comes as None, as sys.stdout is
-            super()._print_message(message, file)
+            _warn(message)
             return
         try:
             _stdout().write(message)
@@ -669,10 +674,10 @@ def dispatch(argv: list[str]) -> int:
             return 0 if code is None else 2
         return args.func(args)
     except (ParameterError, CheckpointError) as exc:
-        print(f"vt: {exc}", file=sys.stderr)
+        _warn(f"vt: {exc}\n")
         return 2
     except VerificationError as exc:
-        print(f"vt: {exc}", file=sys.stderr)
+        _warn(f"vt: {exc}\n")
         return 1
 
 
@@ -684,7 +689,21 @@ def _discard_stdout() -> None:
     os.dup2(devnull, sys.stdout.fileno())
 
 
+def _flush(stream: IO[str] | None) -> None:
+    """Flush stream on the way out, unless it is None; an OSError is
+    dropped, as main() has already reported a stdout that refused its
+    bytes and chosen the exit status for it."""
+    if stream is not None:
+        with suppress(OSError):
+            stream.flush()
+
+
 def main() -> None:
+    """Run ``vt`` on sys.argv and raise SystemExit with its exit status.
+
+    The interpreter then ends as usual, so in-process callers keep their
+    exit handlers; the ``vt`` program itself enters at :func:`run`.
+    """
     # vtnum calls no BLAS routine, but numpy's OpenBLAS starts worker
     # threads at import (one fewer than the CPUs) that spin waiting for
     # work beside the scan; a value the user set is kept.  Set here, not
@@ -708,16 +727,36 @@ def main() -> None:
         _discard_stdout()
         code = 0
     except _OutputError as exc:
-        print(f"vt: {exc}", file=sys.stderr)
+        _warn(f"vt: {exc}\n")
         _discard_stdout()
         code = 1
     except KeyboardInterrupt:
         # the writer thread may be blocked in a write no reader drains,
         # holding stdout's lock: the interpreter's exit flush would wait
         # on it for ever, or abort, so leave without it
-        sys.stderr.flush()
+        _flush(sys.stderr)
         os._exit(130)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     sys.exit(code)
+
+
+def run() -> NoReturn:
+    """The ``vt`` program: :func:`main`, then leave the process at once.
+
+    Once stdout and then stderr are flushed every byte is out, so the
+    process ends with ``os._exit`` and main()'s exit status, skipping
+    the interpreter's teardown: a last garbage collection over the
+    objects of numpy and the standard library, the clean-up of modules,
+    and atexit handlers.  An exception other than SystemExit propagates,
+    and the interpreter ends as usual.
+    """
+    code = 0
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    _flush(sys.stdout)
+    _flush(sys.stderr)
+    os._exit(code)

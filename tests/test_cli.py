@@ -2,9 +2,11 @@
 import argparse
 import dataclasses
 import errno
+import importlib
 import io
 import json
 import os
+import runpy
 import select
 import signal
 import subprocess
@@ -13,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1244,6 +1247,136 @@ class TestClosedStdout:
         code, err = self._run_closed(["scan", "--from", "5", "--to", "1"])
         assert code == 2
         assert err.startswith("vt: range must satisfy") and err.count("\n") == 1
+
+
+class TestClosedStderr:
+    """A child started with stderr closed loses its diagnostics: its exit
+    status and stdout bytes are those it gives with stderr open.
+
+    Closed from the start, stderr is None in the child (print would send
+    a diagnostic to stdout); open read-only, every write to it fails
+    with EBADF.
+    """
+
+    def _run(self, argv, redirect=None):
+        command = [sys.executable, "-m", "vtnum", *argv]
+        if redirect is not None:
+            command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+        proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              timeout=60)
+        return proc.returncode, proc.stdout
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["runs", "--stats", "--from", "1", "--to", "5000"], 0),
+            (["conjecture", "--weight", "6", "--max-bits", "24"], 0),
+            (["scan", "--from", "5", "--to", "1"], 2),
+            (["frobnicate"], 2),
+            (["check", "--value", "8"], 1),
+        ],
+    )
+    def test_same_status_and_bytes(self, argv, code, redirect):
+        closed = self._run(argv, redirect)
+        assert closed[0] == code
+        assert closed == self._run(argv)
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    def test_scan_with_a_checkpoint(self, tmp_path, redirect):
+        path = tmp_path / "cp.json"
+        argv = ["scan", "--from", "1", "--to", "3", "--checkpoint", str(path)]
+        closed = self._run(argv, redirect)
+        assert not path.exists()
+        assert closed == self._run(argv)
+        assert closed[0] == 0 and closed[1].count(b"\n") == 3
+
+
+class TestEntry:
+    """run(), the entry of `vt`: main(), then stdout and stderr flushed, then os._exit."""
+
+    def _run(self, monkeypatch, argv):
+        events = []
+
+        class Stream(io.StringIO):
+            def __init__(self, name):
+                super().__init__()
+                self.name, self.buffer = name, io.BytesIO()
+
+            def flush(self):
+                events.append(f"flush {self.name}")
+                super().flush()
+
+        out, err = Stream("stdout"), Stream("stderr")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(sys, "argv", ["vt", *argv])
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(f"exit {code}"))
+        cli.run()
+        return events, out.buffer.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv, code, want_out, want_err",
+        [
+            (["check", "7"], 0, b'{"n":7,"t":"28","pc":3,"vt":true}\n', ""),
+            (["check", "--value", "8"], 1, b"", "vt: 8 is not a triangular number\n"),
+            (["scan", "--from", "5", "--to", "1"], 2, b"", "vt: range must satisfy"),
+        ],
+    )
+    def test_flushes_stdout_then_stderr_then_exits(self, monkeypatch, argv, code, want_out,
+                                                   want_err):
+        events, out, err = self._run(monkeypatch, argv)
+        assert events[-3:] == ["flush stdout", "flush stderr", f"exit {code}"]
+        assert events.count(f"exit {code}") == 1
+        assert out == want_out
+        assert err.startswith(want_err) and err.count("\n") == (code != 0)
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def fail():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "main", fail)
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit was called"))
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.run()
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_piped_output_is_whole(self, tmp_path, buffered, capsysbinary):
+        # each command's output comes in more than one piece, so the
+        # writer thread carries all but the first
+        checkpoint = tmp_path / "cp.json"
+        scan = ["scan", "--from", str(2**31), "--to", str(2**31 + 3 * _CELL_ROWS - 1),
+                "--checkpoint", str(checkpoint)]
+        runs = ["runs", "--min-len", "1", "--from", "1", "--to", "200000"]
+        for argv, summary in ((scan, "scanned ["), (runs, "")):
+            code, want_out, want_err = run_cli(argv, capsysbinary)
+            assert code == 0 and want_err.startswith(summary)
+            assert want_err.count("\n") == bool(summary)
+            proc = _vt_process(argv, buffered)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err.decode()) == (0, want_out, want_err)
+            assert not checkpoint.exists()
+
+
+def test_both_entries_run_one_function(monkeypatch):
+    # `python -m vtnum` and the installed `vt` script enter at one function
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("vtnum is not run from its source tree")
+    with open(pyproject, "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["vt"].partition(":")
+
+    class Entered(Exception):
+        pass
+
+    def entry():
+        raise Entered
+
+    monkeypatch.setattr(importlib.import_module(module), name, entry)
+    with pytest.raises(Entered):
+        runpy.run_module("vtnum", run_name="__main__")
 
 
 @pytest.fixture
