@@ -34,19 +34,17 @@ t is serialized as a decimal string in JSON so consumers limited to
 A chunk's records, at either tier, are formatted by one numpy kernel,
 exact at any size.  It builds n and t in base-10^4 groups the way the
 classifiers build t, t_(a+i) = t_a + i*a + t_i, and lays the digits
-(from a table of 4-digit groups) out in rows of exactly each record's
-bytes, but for NUL padding after short tails, which it then deletes.
-Any other records go through one f-string per line: the reference the
-kernel is tested against.  The jsonl lines of runs are laid out the
-same way: each field a column of numpy void items at its exact width,
-the table items NUL padded, and the NULs deleted at the end.
+(from a table of 4-digit groups) out in rows of one width per piece:
+short numbers NUL padded on the left, short tails on the right, and
+the NULs deleted at the end.  Any other records go through one
+f-string per line: the reference the kernel is tested against.  The
+jsonl lines of runs are laid out the same way, one width per pass.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import stat
@@ -734,15 +732,9 @@ def _drive(
         stats.classify_ns += classified - started
         stats.chunks += 1
         stats.rows += hi - lo + 1
-        yield chunk, closed, ScanCheckpoint(
-            format_version=CHECKPOINT_VERSION,
-            lo=state.lo,
-            hi=state.hi,
-            next=hi + 1,
-            vt_count=vt_total,
-            open_run=tracker.open_run,
-            current_t=hi * (hi + 1) // 2,
-            fmt=state.fmt,
+        yield chunk, closed, replace(
+            state, format_version=CHECKPOINT_VERSION, next=hi + 1, vt_count=vt_total,
+            open_run=tracker.open_run, current_t=hi * (hi + 1) // 2,
         )
         out = None if fresh else chunk
         del chunk, closed  # a fresh chunk is released before the next one is classified
@@ -992,24 +984,16 @@ def _groups(x: int, count: int) -> list[int]:
     return groups
 
 
-def _digit_runs(first: int, rows: int, reach: Callable[[int], int]) -> list[tuple[int, int, int]]:
-    """(start, stop, digit count) of each run of rows whose values have one digit count.
-
-    The rows rise from `first` >= 1; reach(k) is the first row whose value is at least 10^k.
-    """
-    # at most the digits of first, as 0.3010299 < log10(2)
-    digits, runs, start = (first.bit_length() - 1) * 3010299 // 10**7 + 1, [], 0
-    while start < rows:
-        stop = min(reach(digits), rows)
-        if stop > start:
-            runs.append((start, stop, digits))
-            start = stop
+def _decimal_digits(v: int) -> int:
+    """The number of decimal digits of v >= 1."""
+    digits = (v.bit_length() - 1) * 3010299 // 10**7 + 1  # at most, as 0.3010299 < log10(2)
+    while v >= 10**digits:
         digits += 1
-    return runs
+    return digits
 
 
 def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
-    """Item i holds the ASCII digits of base + i*step + first[i], zero padded on
+    """Item i holds the ASCII digits of base + i*step + first[i], NUL padded on
     the left to `digits` digits: one numpy void item per row, for rising values
     below 10^digits; first is uint32.
 
@@ -1020,7 +1004,10 @@ def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
     plus the carry out of column j - 1, first[i] being the first carry.
     The carry out of the top one is 0 up to some row and 1 from there
     on, as the values rise, so the high groups are those of
-    base // 10^(4*low) or of that plus 1.
+    base // 10^(4*low) or of that plus 1.  The rising values put the
+    short rows first: while the first row has a leading zero in a digit
+    column, the rows with one there are a prefix of those with one in
+    the column before, and their zeros become NULs.
     """
     rows, width = first.size, -(-digits // 4)
     groups = np.empty((rows, width), np.uint32)
@@ -1041,7 +1028,12 @@ def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
     groups[:switch, : width - low] = _groups(high, width - low)[::-1]
     if switch < rows:
         groups[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
-    return np.ndarray(rows, f"V{digits}", _DIGIT_GROUPS.take(groups), 4 * width - digits, 4 * width)
+    chars, short, col = _DIGIT_GROUPS.take(groups).view(np.uint8), rows, 4 * width - digits
+    while chars[0, col] == 48 and col < 4 * width - 1:  # a 0 keeps its one digit
+        short = int(np.count_nonzero(chars[:short, col] == 48))
+        chars[:short, col] = 0
+        col += 1
+    return np.ndarray(rows, f"V{digits}", chars, 4 * width - digits, 4 * width)
 
 
 # rows per cell of the record kernel, and per stream piece: a cell's digit
@@ -1051,30 +1043,17 @@ _CELL_ROWS = 1 << 13
 _LAYOUT = threading.local()
 
 
-def _cells(n_runs: list, t_runs: list) -> list[tuple[int, int, int, int]]:
-    """(start, stop, n digits, t digits) of each cell: a run of at most _CELL_ROWS
-    rows where n and t keep one digit count."""
-    cuts = {stop for _, stop, _ in n_runs} | {stop for _, stop, _ in t_runs}
-    cells, start = [], 0
-    for stop in sorted(cuts.union(range(_CELL_ROWS, n_runs[-1][1], _CELL_ROWS))):
-        dn = next(d for _, end, d in n_runs if end > start)
-        cells.append((start, stop, dn, next(d for _, end, d in t_runs if end > start)))
-        start = stop
-    return cells
-
-
 def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> bytearray:
-    """The kernel path of :func:`format_block`, one cell of rows at a time.
+    """The kernel path of :func:`format_block`, one cell of _CELL_ROWS rows at a time.
 
-    A cell is a run of at most _CELL_ROWS rows whose n and t keep one
-    digit count (:func:`_cells`).  Its rows are exactly lead | n | mid |
-    t | tail, the tail NUL padded on the right to the longest.  The
-    fields are written in that order, each as a column of numpy void
-    items of its exact width, one per row.  From the cell's first index
-    c, n = c + i and t = t_c + i*c + t_i, as the classifiers build t, go
-    in by :func:`_digits`: for i < 2^15 a column of t stays below
-    2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only NULs are the padding of
-    short tails, so deleting them at the end costs about a copy.
+    Every row is as wide as the last: lead | n | mid | t | tail, with n
+    and t at the digit counts of the last row's, NUL padded on the left,
+    and the tail NUL padded on the right to the longest.  The fields are
+    written in that order, each as a column of numpy void items, one per
+    row.  From a cell's first index c, n = c + i and t = t_c + i*c + t_i,
+    as the classifiers build t, go in by :func:`_digits`: for i < 2^15 a
+    column of t stays below 2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only
+    NULs are padding, so deleting them at the end costs about a copy.
 
     The rows are laid out in the calling thread's buffer, reused while
     the layout keeps its size, so that pieces do not fault fresh heap
@@ -1082,20 +1061,17 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
     on each call and no byte of an earlier piece is left in it; the
     piece returned is a copy.
     """
-    a = ns.start
-    n_runs = _digit_runs(a, len(ns), lambda k: 10**k - a)
-    t_runs = _digit_runs(a * (a + 1) // 2, len(ns), lambda k: (math.isqrt(8 * 10**k) + 1) // 2 - a)
-    lead, mid, tails = _row_layout(fmt, triangular(ns[-1]).bit_length())
-    fixed = lead.itemsize + mid.itemsize + tails.itemsize
-    cells = _cells(n_runs, t_runs)
-    size = sum((stop - start) * (fixed + dn + dt) for start, stop, dn, dt in cells)
+    t_last = triangular(ns[-1])
+    lead, mid, tails = _row_layout(fmt, t_last.bit_length())
+    dn, dt = _decimal_digits(ns[-1]), _decimal_digits(t_last)
+    width = lead.itemsize + dn + mid.itemsize + dt + tails.itemsize
     buf = getattr(_LAYOUT, "buf", None)
-    if buf is None or len(buf) != size:
-        buf = _LAYOUT.buf = bytearray(size)
+    if buf is None or len(buf) != len(ns) * width:
+        buf = _LAYOUT.buf = bytearray(len(ns) * width)
     i, t_i = _block_tables(np.uint32)
-    at = 0
-    for start, stop, dn, dt in cells:
-        rows, width, c = stop - start, fixed + dn + dt, a + start
+    for start in range(0, len(ns), _CELL_ROWS):
+        stop = min(start + _CELL_ROWS, len(ns))
+        rows, c = stop - start, ns[start]
 
         def fields() -> Iterator[np.ndarray]:
             """The row's fields in order, each built once the one before is written:
@@ -1108,11 +1084,10 @@ def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> byte
             codes += vts[start:stop]
             yield tails.take(codes)
 
-        end = at
+        end = start * width
         for field in fields():
             np.ndarray(rows, field.dtype, buf, end, width)[...] = field
             end += field.dtype.itemsize
-        at += rows * width
     return buf.replace(b"\0", b"")
 
 
@@ -1143,27 +1118,21 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
     A pass lays its rows out as :func:`_format_range` does: each field
     is a column of numpy void items, one per row, written in row order,
     and the NULs padding the items and the rows are deleted at the end.
-    The rows of a pass are as wide as its widest.  The start lo +
-    starts[k] goes in at its exact width by :func:`_digits`, the offsets
-    rising as n does in :func:`_format_range`: one call per run of
-    starts with one digit count.  The rest of a row depends on the run's
-    length, so the runs of one length are laid out together, past the
-    widest start: the bytes naming the length, a table item per popcount
-    but the last, and one for the last that ends the line with the
-    truncation flags.
+    The rows of a pass are as wide as its widest.  The starts lo +
+    starts[k] go in by one :func:`_digits` call, at the digit count of
+    the pass's last start, as the offsets rise.  The rest of a row
+    depends on the run's length, so the runs of one length are laid out
+    together, past the widest start: the bytes naming the length, a
+    table item per popcount but the last, and one for the last that
+    ends the line with the truncation flags.
     """
     heads, tails = _run_tables(triangular(runs.lo + runs.pcs.size - 1).bit_length())
     s_at = _RUN_LEAD.itemsize
     for p in range(0, runs.starts.size, _RUN_PASS):
         starts = runs.starts[p : p + _RUN_PASS]
         lengths, flags = runs.lengths[p : p + starts.size], runs.flags[p : p + starts.size]
-        top = int(starts[-1])
-        s_runs = _digit_runs(
-            runs.lo + int(starts[0]),
-            starts.size,
-            lambda k: int(np.searchsorted(starts, min(max(10**k - runs.lo, 0), top + 1))),
-        )
-        m_at = s_at + s_runs[-1][2]  # past the widest start
+        digits = _decimal_digits(runs.lo + int(starts[-1]))
+        m_at = s_at + digits  # past the widest start
         counts = np.bincount(lengths)
         mids = {size: np.void(f',"length":{size},"popcounts":['.encode())
                 for size in np.flatnonzero(counts).tolist()}
@@ -1171,9 +1140,8 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
                            for size, mid in mids.items())
         buf = bytearray(starts.size * width)
         np.ndarray(starts.size, _RUN_LEAD.dtype, buf, 0, width)[...] = _RUN_LEAD
-        for start, stop, digits in s_runs:
-            field = _digits(runs.lo, 0, starts[start:stop].astype(np.uint32), digits)
-            np.ndarray(stop - start, field.dtype, buf, start * width + s_at, width)[...] = field
+        field = _digits(runs.lo, 0, starts.astype(np.uint32), digits)
+        np.ndarray(starts.size, field.dtype, buf, s_at, width)[...] = field
         for size, mid in mids.items():
             at = np.flatnonzero(lengths == size) if counts[size] < starts.size else slice(None)
             pcs = runs.pcs[starts[at, None] + np.arange(size)]

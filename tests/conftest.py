@@ -211,3 +211,18 @@ def default_int_digit_limit():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift the int <-> str digit limit for one test, as `vt` does."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Python before 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)

@@ -1379,21 +1379,6 @@ def test_both_entries_run_one_function(monkeypatch):
         runpy.run_module("vtnum", run_name="__main__")
 
 
-@pytest.fixture
-def no_int_digit_limit():
-    """Lift the int <-> str digit limit for one test, as `vt` does."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # Python before 3.10.7 has no limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(limit)
-
-
 class TestSubprocessSurface:
     """End-to-end checks that need a real process boundary."""
 

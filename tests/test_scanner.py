@@ -939,24 +939,31 @@ def test_digit_groups_are_the_percent_format():
 
 
 # digit counts 4k, where an item starts at its top group, and 4k + 1..3, where
-# it starts past the group's padding zeros; steps small enough for each
+# it starts past the group's padding zeros; steps small enough for each.  The
+# 40 rising values cross 10^(4k), the largest such power below 10^digits, or,
+# from base 5 with step 7, cross two digit counts, so that the pass turning
+# leading zeros into NULs goes past its first column
 _DIGIT_CASES = [
-    (digits, step)
+    (digits, step, max(0, 10 ** (4 * ((digits - 1) // 4)) - 20 * (step + 3)))
     for digits in (4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 21)
     for step in (0, 7, 123457)
     if 40 * (step + 3) < 10**digits
-]
+] + [(digits, 7, 5) for digits in (3, 4, 5, 9)]
 
 
-@pytest.mark.parametrize("digits,step", _DIGIT_CASES)
-def test_digits_are_the_zero_filled_values(digits, step):
-    # 40 rising values across 10^(4k), the largest such power below 10^digits
+@pytest.mark.parametrize("digits,step,base", _DIGIT_CASES)
+def test_digits_are_the_zero_filled_values(digits, step, base):
     first = np.arange(0, 120, 3, dtype=np.uint32)
-    base = max(0, 10 ** (4 * ((digits - 1) // 4)) - 20 * (step + 3))
     got = scanner._digits(base, step, first, digits)
-    want = [str(base + i * step + int(f)).zfill(digits) for i, f in enumerate(first)]
+    want = [str(base + i * step + int(f)).rjust(digits, "\0") for i, f in enumerate(first)]
     assert got.dtype.itemsize == digits
     assert [item.decode("ascii") for item in got.tolist()] == want
+
+
+def test_decimal_digits_around_powers_of_ten(no_int_digit_limit):
+    for k in range(1, 701):
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            assert scanner._decimal_digits(v) == len(str(v))
 
 
 class TestMergeSummaries:
@@ -1143,6 +1150,11 @@ class TestCheckpointFile:
         checkpoint_save(self._state(format_version=99), path)
         with pytest.raises(CheckpointVersionError):
             checkpoint_resume(path)
+
+    def test_resumed_scan_saves_the_current_version(self, tmp_path):
+        path = tmp_path / "cp.json"
+        resume_scan(self._state(format_version=99), checkpoint_path=path)
+        assert checkpoint_resume(path).format_version == CHECKPOINT_VERSION
 
     def test_wrong_field_type(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -1667,13 +1679,10 @@ class TestLayoutBuffer:
         "step", [10**4, 10**8, _first_index_reaching(10**9), _first_index_reaching(10**12)]
     )
     def test_equal_size_other_cells(self, ref, step, fmt):
-        # where n or t gains a digit, one piece is one cell of 300 rows of
-        # `width` bytes from the step; the other starts `width` rows before
-        # the step, each of them a byte shorter, and ends a row later: both
-        # take 300 * width bytes, so they share one buffer size
-        t = step * (step + 1) // 2  # a two-digit pc and false: the widest row
-        width = len(_format_exact(([step], [t], [10], [False]), fmt))
-        at_step, before = (step, step + 299), (step - width, step + 300 - width)
+        # where n or t gains a digit, one piece of 300 rows starts at the step
+        # and the other 150 rows before it: both are laid out at the digit
+        # counts past the step, so they share one buffer size
+        at_step, before = (step, step + 299), (step - 150, step + 149)
         for first, second in ((at_step, before), (before, at_step)):
             assert _kernel_bytes(*first, fmt) == _format_exact(_ref_rows(ref, *first), fmt)
             buf = scanner._LAYOUT.buf
