@@ -32,11 +32,12 @@ t is serialized as a decimal string in JSON so consumers limited to
 53-bit floats cannot corrupt large values.
 
 A chunk's records, at either tier, are formatted by one numpy kernel,
-exact at any size.  It builds n and t in base-10^4 groups the way the
-classifiers build t, t_(a+i) = t_a + i*a + t_i, and lays the digits
-(from a table of 4-digit groups) out in rows of one width per piece:
-short numbers NUL padded on the left, short tails on the right, and
-the NULs deleted at the end.  Any other records go through one
+exact at any size.  It builds t in base-10^4 groups the way the
+classifiers build it, t_(a+i) = t_a + i*a + t_i, and n = a + i from
+slices of a table of 4-digit groups, looks the tails up by popcount,
+and lays the digits out in rows of one width per piece: short numbers
+NUL padded on the left, short tails on the right, and the NULs deleted
+at the end.  Any other records go through one
 f-string per line: the reference the kernel is tested against.  The
 jsonl lines of runs are laid out the same way, one width per pass.
 """
@@ -966,11 +967,12 @@ def _void_table(texts: list[str]) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _row_layout(fmt: str, bits: int) -> tuple[np.void, np.void, np.ndarray]:
     """A format's line cut around n and t, as numpy void items: the bytes before
-    n, those between n and t, and a table whose item 2*pc + vt holds the rest,
-    NUL padded on the right to the longest tail, for pc <= bits."""
+    n, those between n and t, and a table whose item pc holds the rest, with
+    pc's verdict, NUL padded on the right to the longest tail, for pc <= bits."""
     line = _LINES[fmt]
     lead, _, rest = line("\1", "\2", 0, False).partition("\1")
-    tails = [line("", "\2", pc, vt).partition("\2")[2] for pc in range(bits + 1) for vt in (0, 1)]
+    verdicts = _vt_by_popcount(bits).tolist()
+    tails = [line("", "\2", pc, vt).partition("\2")[2] for pc, vt in enumerate(verdicts)]
     mid = rest.partition("\2")[0]
     return np.void(lead.encode()), np.void(mid.encode()), _void_table(tails)
 
@@ -992,6 +994,48 @@ def _decimal_digits(v: int) -> int:
     return digits
 
 
+def _fill_high(out: np.ndarray, before: list | np.ndarray, after: list | np.ndarray,
+               switch: int) -> None:
+    """Fill the first len(before) columns of out with groups listed least
+    significant first: before's in rows < switch, after's from there, as
+    one item per row, an integer up to 8 bytes (numpy copies those faster
+    than void items) and a void item above."""
+    size = len(before) * out.itemsize
+    if not size:
+        return
+    kind = f"u{size}" if size <= 8 else f"V{size}"
+    rows = np.ndarray(out.shape[0], kind, out, 0, out.strides[0])
+    rows[:switch] = np.array(before[::-1], out.dtype).view(kind)
+    rows[switch:] = np.array(after[::-1], out.dtype).view(kind)
+
+
+def _nul_padded(chars: np.ndarray, digits: int) -> np.ndarray:
+    """Rows of rising zero-padded ASCII digits as items of their last `digits`
+    bytes, the leading zeros NULs.  While the first row has a leading zero
+    in a column, the rows with one there are a prefix of those with one in
+    the column before."""
+    short, col, end = chars.shape[0], chars.shape[1] - digits, chars.shape[1] - 1
+    while chars[0, col] == 48 and col < end:  # a 0 keeps its one digit
+        short = int(np.count_nonzero(chars[:short, col] == 48))
+        chars[:short, col] = 0
+        col += 1
+    return np.ndarray(chars.shape[0], f"V{digits}", chars, end + 1 - digits, end + 1)
+
+
+def _counted(c: int, rows: int, digits: int) -> np.ndarray:
+    """Item i holds the ASCII digits of c + i, NUL padded on the left to
+    `digits` digits, for rows <= _E4: the low base-10^4 group is two
+    slices of the digit table, cut where it wraps to 0, and the high
+    groups are those of c // 10^4 before the wrap and of that plus 1 after."""
+    width, (high, low) = -(-digits // 4), divmod(c, _E4)
+    words, switch = np.empty((rows, width), np.uint32), min(rows, _E4 - low)
+    words[:switch, -1] = _DIGIT_GROUPS[low : low + switch]
+    words[switch:, -1] = _DIGIT_GROUPS[: rows - switch]
+    before, after = _groups(high, width - 1), _groups(high + 1, width - 1)
+    _fill_high(words, _DIGIT_GROUPS[before], _DIGIT_GROUPS[after], switch)
+    return _nul_padded(words.view(np.uint8), digits)
+
+
 def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
     """Item i holds the ASCII digits of base + i*step + first[i], NUL padded on
     the left to `digits` digits: one numpy void item per row, for rising values
@@ -1004,13 +1048,11 @@ def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
     plus the carry out of column j - 1, first[i] being the first carry.
     The carry out of the top one is 0 up to some row and 1 from there
     on, as the values rise, so the high groups are those of
-    base // 10^(4*low) or of that plus 1.  The rising values put the
-    short rows first: while the first row has a leading zero in a digit
-    column, the rows with one there are a prefix of those with one in
-    the column before, and their zeros become NULs.
+    base // 10^(4*low) or of that plus 1.  The groups are intp, so the
+    digit table's take makes no index copy of them.
     """
     rows, width = first.size, -(-digits // 4)
-    groups = np.empty((rows, width), np.uint32)
+    groups = np.empty((rows, width), np.intp)
     i = _block_tables(np.uint32)[0][:rows]
     top = (rows - 1) * step + int(first[-1])
     low = min(width, (top.bit_length() * 3011 + 39999) // 40000)
@@ -1025,69 +1067,64 @@ def _digits(base: int, step: int, first: np.ndarray, digits: int) -> np.ndarray:
         np.subtract(carry, np.multiply(quotient, _E4, out=product), out=groups[:, width - 1 - j])
         carry, quotient = quotient, carry
     high, switch = base // _E4**low, rows - int(np.count_nonzero(carry))
-    groups[:switch, : width - low] = _groups(high, width - low)[::-1]
-    if switch < rows:
-        groups[switch:, : width - low] = _groups(high + 1, width - low)[::-1]
-    chars, short, col = _DIGIT_GROUPS.take(groups).view(np.uint8), rows, 4 * width - digits
-    while chars[0, col] == 48 and col < 4 * width - 1:  # a 0 keeps its one digit
-        short = int(np.count_nonzero(chars[:short, col] == 48))
-        chars[:short, col] = 0
-        col += 1
-    return np.ndarray(rows, f"V{digits}", chars, 4 * width - digits, 4 * width)
+    _fill_high(groups, _groups(high, width - low), _groups(high + 1, width - low), switch)
+    return _nul_padded(_DIGIT_GROUPS.take(groups).view(np.uint8), digits)
 
 
 # rows per cell of the record kernel, and per stream piece: a cell's digit
-# groups stay cache sized, and its i and t_i below 2^15
+# groups stay cache sized, its i and t_i below 2^15, and its n wraps a
+# multiple of 10^4 at most once, as _CELL_ROWS < 10^4
 _CELL_ROWS = 1 << 13
-# one layout buffer per formatting thread, kept while pieces need its size
+# one layout buffer per formatting thread, with the layout whose constant bytes it holds
 _LAYOUT = threading.local()
 
 
-def _format_range(ns: range, pcs: np.ndarray, vts: np.ndarray, fmt: str) -> bytearray:
+def _format_range(ns: range, pcs: np.ndarray, fmt: str) -> bytearray:
     """The kernel path of :func:`format_block`, one cell of _CELL_ROWS rows at a time.
 
     Every row is as wide as the last: lead | n | mid | t | tail, with n
     and t at the digit counts of the last row's, NUL padded on the left,
-    and the tail NUL padded on the right to the longest.  The fields are
-    written in that order, each as a column of numpy void items, one per
-    row.  From a cell's first index c, n = c + i and t = t_c + i*c + t_i,
-    as the classifiers build t, go in by :func:`_digits`: for i < 2^15 a
-    column of t stays below 2^15 * 10^4 + 10^4 + 2^29 < 2^32.  The only
-    NULs are padding, so deleting them at the end costs about a copy.
+    and the tail, looked up by popcount, NUL padded on the right to the
+    longest.  Each field is a column of numpy void items, one per row.
+    From a cell's first index c, n = c + i goes in by :func:`_counted`
+    and t = t_c + i*c + t_i, as the classifiers build t, by
+    :func:`_digits`: for i < 2^15 a column of t stays below 2^15 * 10^4 +
+    10^4 + 2^29 < 2^32.  The only NULs are padding, so deleting them at
+    the end costs about a copy.
 
     The rows are laid out in the calling thread's buffer, reused while
-    the layout keeps its size, so that pieces do not fault fresh heap
-    pages in.  The fields cover each row, so every byte of it is written
-    on each call and no byte of an earlier piece is left in it; the
-    piece returned is a copy.
+    pieces keep its size, so that pieces do not fault fresh heap pages
+    in.  n, t and the tail are written on each call; lead and mid, the
+    constant bytes, only when the layout (format, rows, digit counts and
+    tail width) changes.  So no byte of an earlier piece is left in it;
+    the piece returned is a copy.
     """
     t_last = triangular(ns[-1])
     lead, mid, tails = _row_layout(fmt, t_last.bit_length())
     dn, dt = _decimal_digits(ns[-1]), _decimal_digits(t_last)
-    width = lead.itemsize + dn + mid.itemsize + dt + tails.itemsize
+    t_at = lead.itemsize + dn + mid.itemsize
+    width, layout = t_at + dt + tails.itemsize, (fmt, len(ns), dn, dt, tails.itemsize)
     buf = getattr(_LAYOUT, "buf", None)
-    if buf is None or len(buf) != len(ns) * width:
-        buf = _LAYOUT.buf = bytearray(len(ns) * width)
-    i, t_i = _block_tables(np.uint32)
+    if getattr(_LAYOUT, "layout", None) != layout:
+        if buf is None or len(buf) != len(ns) * width:
+            buf = _LAYOUT.buf = bytearray(len(ns) * width)
+        _LAYOUT.layout = None  # until the constant bytes are in
+        for field, at in ((lead, 0), (mid, t_at - mid.itemsize)):
+            np.ndarray(len(ns), field.dtype, buf, at, width)[...] = field
+        _LAYOUT.layout = layout
+
+    def put(field: np.ndarray, at: int) -> None:
+        np.ndarray(field.size, field.dtype, buf, at, width)[...] = field
+
+    t_i = _block_tables(np.uint32)[1]
     for start in range(0, len(ns), _CELL_ROWS):
         stop = min(start + _CELL_ROWS, len(ns))
-        rows, c = stop - start, ns[start]
-
-        def fields() -> Iterator[np.ndarray]:
-            """The row's fields in order, each built once the one before is written:
-            holding all at once made pieces fault heap pages back in."""
-            yield lead
-            yield _digits(c, 0, i[:rows], dn)
-            yield mid
-            yield _digits(c * (c + 1) // 2, c, t_i[:rows], dt)
-            codes = np.multiply(pcs[start:stop], 2, dtype=np.intp)
-            codes += vts[start:stop]
-            yield tails.take(codes)
-
-        end = start * width
-        for field in fields():
-            np.ndarray(rows, field.dtype, buf, end, width)[...] = field
-            end += field.dtype.itemsize
+        rows, c, row = stop - start, ns[start], start * width
+        # each field is built once the one before is written: holding all
+        # at once made pieces fault heap pages back in
+        put(_counted(c, rows, dn), row + lead.itemsize)
+        put(_digits(c * (c + 1) // 2, c, t_i[:rows], dt), row + t_at)
+        put(tails.take(pcs[start:stop]), row + t_at + dt)
     return buf.replace(b"\0", b"")
 
 
@@ -1166,7 +1203,7 @@ def format_block(columns: tuple, fmt: str) -> bytes:
     _require_format(fmt)
     ns, ts, pcs, vts = columns
     if isinstance(ts, _Triangulars) and ts.ns is ns:
-        return _format_range(ns, pcs, vts, fmt)
+        return _format_range(ns, pcs, fmt)
     return _format_exact(columns, fmt)
 
 

@@ -960,6 +960,27 @@ def test_digits_are_the_zero_filled_values(digits, step, base):
     assert [item.decode("ascii") for item in got.tolist()] == want
 
 
+# first indexes of a cell whose n wraps a multiple of 10^4 at its second row,
+# its third and its last, or not at all; and where the wrap carries through
+# several groups and n gains a digit
+_WRAP_STARTS = [
+    *(10**4 * k - back for k in (1, 214749) for back in (1, 2, _CELL_ROWS - 1)),
+    *(10**k - 100 for k in (8, 12, 20)),
+    2**31 + 12345,
+]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 100, _CELL_ROWS])
+@pytest.mark.parametrize("c", _WRAP_STARTS)
+def test_counted_are_the_nul_padded_values(c, rows):
+    digits = len(str(c + rows - 1))
+    got = scanner._counted(c, rows, digits)
+    assert got.dtype.itemsize == digits
+    assert [item.decode("ascii") for item in got.tolist()] == [
+        str(n).rjust(digits, "\0") for n in range(c, c + rows)
+    ]
+
+
 def test_decimal_digits_around_powers_of_ten(no_int_digit_limit):
     for k in range(1, 701):
         for v in (10**k - 1, 10**k, 10**k + 1):
@@ -1580,6 +1601,20 @@ class TestChunkFormatter:
         got = _kernel_bytes(lo, hi, "jsonl")
         assert got == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
 
+    def test_wide_piece_peak(self):
+        # the digit table is looked up with intp groups, so np.take makes no
+        # cast copy of them: a jsonl piece from 2^1000 peaked at 19.9 MB with one
+        lo = 2**1000 + 12345
+        columns = _classify(lo, lo + _CELL_ROWS - 1).columns(0, _CELL_ROWS)
+        format_block(columns, "jsonl")  # the layout buffer and tables
+        tracemalloc.start()
+        try:
+            format_block(columns, "jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 10**6
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_popcounts_of_100_and_more(self, ref, fmt):
         lo = 0xB7E151628AED2A6ABF7158809CF4F3C762E7160F  # 160 bits
@@ -1616,6 +1651,36 @@ class TestChunkFormatter:
         assert lo < 10**20 < state.next <= hi
         tail = b"".join(b.payload for b in stream_scan(lo, hi, "csv", chunk_size=37, resume=state))
         assert head + tail == _CSV_HEADER + _format_exact(_ref_rows(ref, lo, hi), "csv")
+
+
+def _wraps_near(power):
+    """Cell starts near `power` whose n wraps a multiple of 10^4 at rows 1, 2 and _CELL_ROWS - 1."""
+    base = power - power % 10**4
+    return [base - back for back in (1, 2, _CELL_ROWS - 1)]
+
+
+class TestCountedCells:
+    """n of a cell from two slices of the digit table, against the oracle:
+    a wrap of its low base-10^4 group mid-cell, carried through the high groups."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("lo", [*_WRAP_STARTS, *_wraps_near(2**64)])
+    def test_cells_across_a_wrap(self, ref, lo, fmt):
+        hi = lo + _CELL_ROWS - 1
+        assert _kernel_bytes(lo, hi, fmt) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("power", [2**200, 2**1000])
+    def test_wide_cells_across_a_wrap(self, ref, power, fmt, no_int_digit_limit):
+        for lo in _wraps_near(power):
+            hi = lo + _CELL_ROWS - 1
+            assert _kernel_bytes(lo, hi, fmt) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+
+    def test_cells_of_a_piece_wrap_apart(self, ref):
+        # three cells of one call, each with a wrap at its own row
+        lo = 10**12 - 3
+        hi = lo + 3 * _CELL_ROWS - 1
+        assert _kernel_bytes(lo, hi, "jsonl") == _format_exact(_ref_rows(ref, lo, hi), "jsonl")
 
 
 def _stream_bytes(lo, hi, fmt, chunk=1 << 20):
@@ -1670,6 +1735,22 @@ class TestRowLayout:
             assert _stream_bytes(lo, hi, fmt, chunk) == header + _format_exact(rows, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bits", [64, 255, 256, 2000])
+def test_tail_table_by_popcount(ref, bits, fmt):
+    # item pc is the oracle line's bytes past t for (pc, its verdict), on
+    # both sides of the uint8 -> uint16 popcount switch past 255 bits
+    tails = scanner._row_layout(fmt, bits)[2]
+    vt_popcounts = ref.triangular_set(bits)
+    want = [
+        _format_exact(([7], ["T"], [pc], [pc in vt_popcounts]), fmt).partition(b"T")[2]
+        for pc in range(bits + 1)
+    ]
+    assert tails.size == bits + 1
+    assert tails.dtype.itemsize == max(map(len, want))
+    assert [item.tobytes() for item in tails] == [w.ljust(tails.dtype.itemsize, b"\0") for w in want]
+
+
 class TestLayoutBuffer:
     """Each thread lays pieces out in one buffer, reused while a piece needs
     its size: no byte of one piece may show in another."""
@@ -1688,6 +1769,25 @@ class TestLayoutBuffer:
             buf = scanner._LAYOUT.buf
             assert _kernel_bytes(*second, fmt) == _format_exact(_ref_rows(ref, *second), fmt)
             assert scanner._LAYOUT.buf is buf
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            # 200 jsonl rows of 62 bytes, then 310 csv rows of 40
+            ((2**31 + 7, 2**31 + 206, "jsonl"), (2**31 + 7, 2**31 + 316, "csv")),
+            # 610 jsonl rows with 9 + 18 digits of n and t, then 600 with 10 + 18
+            ((10**9 - 700, 10**9 - 91, "jsonl"), (10**9, 10**9 + 599, "jsonl")),
+        ],
+    )
+    def test_equal_size_other_layout(self, ref, first, second):
+        # the second piece needs the first's buffer size, but its constant
+        # bytes sit elsewhere: none of the first's may stay
+        lo, hi, fmt = first
+        assert _kernel_bytes(lo, hi, fmt) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+        buf = scanner._LAYOUT.buf
+        lo, hi, fmt = second
+        assert _kernel_bytes(lo, hi, fmt) == _format_exact(_ref_rows(ref, lo, hi), fmt)
+        assert scanner._LAYOUT.buf is buf
 
     def test_threads_format_at_once(self, ref):
         # both ranges' pieces need one buffer size: a buffer shared by the
