@@ -26,8 +26,8 @@ from .core import *
 
 __version__ = "0.1.0"
 
-# Each module's __all__, spelled out so that it is known before the module
-# is imported (a test holds each tuple equal to its module's list)
+# Each module's public names, known before the module is imported: the
+# one list of them, which each module takes as its __all__
 _FAMILIES_NAMES = (
     "Family", "FamilyWitness", "family_even", "family_power_minus", "family_odd",
     "block_number", "block_witness", "twin_pair", "power_exclusion", "verify_witness",
@@ -42,11 +42,10 @@ _ANALYSIS_NAMES = (
     "VerificationError", "DensityPoint", "BertrandReport", "TheoremWitness", "GapReport",
     "ApHit", "density_series", "bertrand_check", "bertrand_theorem_witness", "gap_window",
     "gap_demonstration", "periodicity_identity", "periodicity_equal_popcount",
-    "weight_enumerate", "conjecture_no6", "popcount3_census", "ap_search",
+    "conjecture_no6", "popcount3_census", "ap_search",
 )
 _LAZY = {"families": _FAMILIES_NAMES, "scanner": _SCANNER_NAMES, "analysis": _ANALYSIS_NAMES}
 
-# each module's __all__ is the one list of its public names
 __all__ = ["__version__", *core.__all__, *_FAMILIES_NAMES, *_SCANNER_NAMES, *_ANALYSIS_NAMES]
 
 

@@ -1,7 +1,7 @@
 """Higher-level procedures over the scanner and the witness families:
 density series, interval witnesses, certified all-non-VT windows,
-popcount periodicity checks, the exhaustive popcount-<=3 sweeps, and
-arithmetic-progression search.
+popcount periodicity checks, the exhaustive popcount-<=3 sweeps
+(conjecture_no6, popcount3_census), and arithmetic-progression search.
 
 The sweeps run on one engine that finds every triangular number with at
 most 3 set bits without walking indexes: from the set bits it builds the
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from . import _ANALYSIS_NAMES
 from .core import (
     VerificationError,
     _require,
@@ -28,25 +29,7 @@ from .core import (
 if TYPE_CHECKING:  # imported where used: only DensityPoint needs fractions or decimal
     from fractions import Fraction
 
-__all__ = [
-    "VerificationError",
-    "DensityPoint",
-    "BertrandReport",
-    "TheoremWitness",
-    "GapReport",
-    "ApHit",
-    "density_series",
-    "bertrand_check",
-    "bertrand_theorem_witness",
-    "gap_window",
-    "gap_demonstration",
-    "periodicity_identity",
-    "periodicity_equal_popcount",
-    "weight_enumerate",
-    "conjecture_no6",
-    "popcount3_census",
-    "ap_search",
-]
+__all__ = list(_ANALYSIS_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +298,6 @@ def periodicity_equal_popcount(n: int, m: int, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exhaustive sweeps
-
-
-def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
-    """All integers below 2^max_bits with exactly `weight` set bits, ascending.
-
-    Uses the constant-popcount successor (Gosper's hack).  Ascending
-    numeric order coincides with colexicographic order on the bit
-    position sets, so an interrupted sweep can resume from the last
-    value it saw.  The tests check the value-side sweeps below against it.
-    """
-    _require(weight >= 1, f"weight must be >= 1, got {weight}")
-    _require(max_bits >= weight, f"max_bits must be >= weight = {weight}, got {max_bits}")
-    v = (1 << weight) - 1
-    limit = 1 << max_bits
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = (((ripple ^ v) >> 2) // low) | ripple
 
 
 # The popcount-<=3 engine.  t is triangular iff 8t + 1 = y^2 for an odd y,

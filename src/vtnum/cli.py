@@ -309,9 +309,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .scanner import _Stats, checkpoint_resume, checkpoint_save, stream_scan
 
     resume = None
-    if found:
+    if args.checkpoint is not None:
         with _checkpoint_file(args.checkpoint):
-            resume = checkpoint_resume(args.checkpoint)
+            resume = checkpoint_resume(args.checkpoint) if found else None
+            # before any output, make and remove the temp file each save writes; "" fails
+            probe = f"{args.checkpoint}.tmp.{os.getpid()}" if args.checkpoint else ""
+            open(probe, "w").close()
+            os.remove(probe)
     last_state = resume
     stats = _Stats()
     blocks = stream_scan(args.from_, args.to, args.emit, resume=resume)

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "Nat",
-    "TriangularIndex",
-    "PopCount",
     "ParameterError",
     "triangular",
     "popcount",
@@ -38,13 +35,6 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointStateError",
 ]
-
-# Documentation aliases.  A Nat is a non-negative int of any magnitude;
-# a TriangularIndex is an int >= 1 (index 0 is never produced, so 0 is
-# not treated as a triangular number anywhere in the package).
-Nat = int
-TriangularIndex = int
-PopCount = int
 
 
 class ParameterError(ValueError):

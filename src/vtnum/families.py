@@ -17,20 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _FAMILIES_NAMES
 from .core import _require, is_triangular, triangular
 
-__all__ = [
-    "Family",
-    "FamilyWitness",
-    "family_even",
-    "family_power_minus",
-    "family_odd",
-    "block_number",
-    "block_witness",
-    "twin_pair",
-    "power_exclusion",
-    "verify_witness",
-]
+__all__ = list(_FAMILIES_NAMES)
 
 
 class Family(Enum):

@@ -56,6 +56,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import _SCANNER_NAMES
 # VtRecord, classify_index, the checkpoint errors and the record-bytes helpers
 # live in core, which needs no numpy; imported here too, they still resolve
 # as scanner attributes
@@ -78,27 +79,7 @@ from .core import (
     triangular,
 )
 
-__all__ = [
-    "DEFAULT_CHUNK",
-    "FAST_INDEX_LIMIT",
-    "CHECKPOINT_VERSION",
-    "Run",
-    "ScanSummary",
-    "ScanCheckpoint",
-    "StreamBlock",
-    "scan",
-    "resume_scan",
-    "merge_summaries",
-    "find_runs",
-    "find_twins",
-    "sigma_enumerate",
-    "count_vt",
-    "vt_flags",
-    "stream_scan",
-    "format_block",
-    "checkpoint_save",
-    "checkpoint_resume",
-]
+__all__ = list(_SCANNER_NAMES)
 
 DEFAULT_CHUNK = 1 << 20
 
@@ -1125,6 +1106,8 @@ def _format_range(ns: range, pcs: np.ndarray, fmt: str) -> bytearray:
         put(_counted(c, rows, dn), row + lead.itemsize)
         put(_digits(c * (c + 1) // 2, c, t_i[:rows], dt), row + t_at)
         put(tails.take(pcs[start:stop]), row + t_at + dt)
+    # replace, not translate: a piece is 0.2-1.6% NUL, and 8192 jsonl rows from
+    # 2^31, 2^64 and 2^200 took 48-247 us against 317-799 us (2-vCPU VM, best of 7)
     return buf.replace(b"\0", b"")
 
 
@@ -1187,6 +1170,8 @@ def _format_runs(runs: _RunColumns) -> Iterator[bytearray]:
                           tails[pcs[:, -1], flags[at]]):
                 np.ndarray(starts.size, field.dtype, buf, end, width)[at] = field
                 end += field.dtype.itemsize
+        # translate, not replace: run rows are 10-14% NUL, and twins over 2^20 indexes
+        # from 2^31, 2^45, 2^62 and 2^200 took 1.0-1.3 ms against 2.6-3.6 ms (as above)
         yield buf.translate(None, b"\0")
 
 

@@ -10,9 +10,12 @@ import json
 import math
 import sys
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 import pytest
+
+from vtnum.core import _require
 
 
 def ref_triangular(n):
@@ -119,6 +122,26 @@ def ref_low_popcount_triangulars(max_bits):
             if root * root == 8 * value + 1:
                 hits.append(((root - 1) // 2, value))
     return sorted(hits)
+
+
+def weight_enumerate(weight: int, max_bits: int) -> Iterator[int]:
+    """All integers below 2^max_bits with exactly `weight` set bits, ascending.
+
+    Uses the constant-popcount successor (Gosper's hack).  Ascending
+    numeric order coincides with colexicographic order on the bit
+    position sets, so an interrupted sweep can resume from the last
+    value it saw.  The tests check the value-side engine of
+    vtnum.analysis against it.
+    """
+    _require(weight >= 1, f"weight must be >= 1, got {weight}")
+    _require(max_bits >= weight, f"max_bits must be >= weight = {weight}, got {max_bits}")
+    v = (1 << weight) - 1
+    limit = 1 << max_bits
+    while v < limit:
+        yield v
+        low = v & -v
+        ripple = v + low
+        v = (((ripple ^ v) >> 2) // low) | ripple
 
 
 # The residue sieve, the engine the 2-adic one replaced, kept as a second

@@ -20,11 +20,10 @@ from vtnum import (
     periodicity_identity,
     popcount3_census,
     triangular,
-    weight_enumerate,
 )
 from vtnum.analysis import _low_popcount_triangulars, _two_adic_root
 
-from conftest import SQUARE_TABLES
+from conftest import SQUARE_TABLES, weight_enumerate
 
 
 class TestDensity:

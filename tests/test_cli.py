@@ -341,11 +341,11 @@ class TestScanCheckpoint:
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unusable_checkpoint_path_fails_loud(self, tmp_path, capsysbinary, where):
         path = tmp_path if where == "directory" else tmp_path / "missing" / "cp.json"
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["scan", "--from", "1", "--to", "5", "--checkpoint", str(path)],
             capsysbinary,
         )
-        assert code == 2
+        assert (code, out) == (2, b"")
         assert err.count("\n") == 1 and err.startswith("vt: ")
         assert str(path) in err
 
@@ -354,10 +354,10 @@ class TestScanCheckpoint:
     ):
         # the temp file of an empty path is ".tmp.<pid>" in the working directory
         monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["scan", "--from", "1", "--to", "10", "--checkpoint", ""], capsysbinary
         )
-        assert code == 2
+        assert (code, out) == (2, b"")
         assert err.count("\n") == 1 and err.startswith("vt: cannot use checkpoint")
         assert list(tmp_path.iterdir()) == []
 

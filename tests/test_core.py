@@ -278,3 +278,26 @@ class TestPackageNames:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               timeout=60)
         assert proc.stdout == "False True 5\n"
+
+
+class TestSubmoduleImportedFirst:
+    @pytest.mark.parametrize(
+        "module, names, loads_numpy",
+        [("scanner", "_SCANNER_NAMES", True), ("analysis", "_ANALYSIS_NAMES", False),
+         ("families", "_FAMILIES_NAMES", False)],
+    )
+    def test_a_module_imported_first_takes_its_names_from_the_package(
+        self, module, names, loads_numpy
+    ):
+        # the module's first import runs the package's __init__, which holds its tuple
+        probe = (
+            "import sys\n"
+            "bound = {}\n"
+            f"exec('from vtnum.{module} import *', bound)\n"
+            "del bound['__builtins__']\n"
+            "import vtnum\n"
+            f"print(sorted(bound) == sorted(vtnum.{names}), 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.stdout, proc.stderr) == (f"True {loads_numpy}\n", "")
