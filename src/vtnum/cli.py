@@ -16,9 +16,13 @@ Every operation in the package is reachable through one verb:
     census       all popcount-3 values over low-weight indexes
     ap           arithmetic progressions of very triangular indexes
 
-Results go to stdout, diagnostics to stderr.  Exit status is 0 on
-success, 1 when a sweep finds counterexamples, a verified claim fails
-its check or stdout refuses the output, 2 on usage errors.  A closed
+Results go to stdout, diagnostics to stderr.  Every stdout byte goes
+through one writer, :class:`_Stdout`, the text of ``--help`` and
+``--version`` included, and every diagnostic through :func:`_warn`.
+Exit status is 0 on success, 1 when a sweep finds counterexamples, a
+verified claim fails its check or stdout refuses the output, 2 on
+usage errors and when the process runs out of memory (one line,
+``vt: out of memory: ...``, never a traceback).  A closed
 stderr loses the diagnostics and changes neither the status nor
 stdout.  Identical argument vectors produce identical stdout bytes.
 Classification runs on the calling thread.  Output that comes in more
@@ -90,21 +94,6 @@ class _OutputError(Exception):
     """stdout refused the command's output (any OSError but a broken pipe)."""
 
 
-def _stdout() -> IO[str]:
-    """sys.stdout, or an _OutputError when the process started with it closed (then it is None)."""
-    if sys.stdout is None:
-        raise _OutputError("cannot write output: stdout is closed")
-    return sys.stdout
-
-
-def _raise_write_error(error: Exception) -> NoReturn:
-    """Raise what a failed write to stdout means: a BrokenPipeError as
-    itself, any other OSError as an _OutputError."""
-    if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
-        raise _OutputError(f"cannot write output: {error.strerror or error}") from error
-    raise error
-
-
 def _warn(text: str) -> None:
     """Write a diagnostic to stderr.  A closed stderr (None, or refusing
     the write) loses it and changes nothing else: not the exit status,
@@ -118,7 +107,7 @@ class _Stdout:
     """The command's stdout, written from the second piece on by one writer thread.
 
     :meth:`write` writes a piece to ``sys.stdout.buffer`` and flushes it;
-    with stdout closed from the start, the first write raises _OutputError.
+    with stdout closed from the start (None), the first write raises _OutputError.
     The first piece is written on the calling thread, as nothing is yet
     made while it is written.  The second starts one ``vt-stdout`` thread
     for the rest of the command, and each later piece is handed to it
@@ -127,7 +116,8 @@ class _Stdout:
     when it wrote each one itself.  :meth:`sync` returns once every piece
     is written and flushed.  When a write or flush fails, the writer
     ends, no later piece is handed over, and the caller's next write or
-    sync raises the error, as :func:`_raise_write_error` does.
+    sync raises the error: a BrokenPipeError as itself, any other OSError
+    as an _OutputError.
 
     On leaving the ``with`` block normally, every piece is written and
     flushed and the writer has ended.  On leaving it by an exception, the
@@ -159,7 +149,9 @@ class _Stdout:
         """Write piece here if it is the first, else hand it to the writer thread."""
         self.sync()
         if self._out is None:
-            self._out = _stdout().buffer
+            if sys.stdout is None:
+                raise _OutputError("cannot write output: stdout is closed")
+            self._out = sys.stdout.buffer
             self._put_out(piece)
             self.sync()
             return
@@ -177,8 +169,11 @@ class _Stdout:
         with self._slot:
             while self._piece is not None:
                 self._slot.wait()
-        if self._error is not None:
-            _raise_write_error(self._error)
+        error = self._error
+        if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
+            raise _OutputError(f"cannot write output: {error.strerror or error}") from error
+        if error is not None:
+            raise error
 
     def _write_handed(self) -> None:
         """The writer thread: write each piece put in the slot, until closed or a write fails."""
@@ -219,6 +214,16 @@ def _write_json_lines(payloads: Iterable[dict]) -> None:
 
     encode = json.JSONEncoder(separators=(",", ":")).encode
     _write(["".join(encode(payload) + "\n" for payload in payloads).encode("ascii")])
+
+
+def _write_claim(payload: dict, holds: bool, failure: str) -> int:
+    """Write a verified claim's one JSON line and return the exit status:
+    0, or 1 after ``vt: failure`` on stderr when the claim failed its check."""
+    _write_json_lines([payload])
+    if holds:
+        return 0
+    _warn(f"vt: {failure}\n")
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +407,17 @@ def _cmd_family(args: argparse.Namespace) -> int:
     from . import families
 
     witness = getattr(families, builder)(**{option: getattr(args, option) for option in needed})
-    _write_json_lines(
-        [{
-            "family": witness.family.value,
-            "params": dict(witness.params),
-            "indices": [str(i) for i in witness.indices],
-            "values": [str(v) for v in witness.values],
-            "predicted_popcount": witness.predicted_popcount,
-            "actual_popcounts": list(witness.actual_popcounts),
-            "expect_vt": witness.expect_vt,
-            "matches": witness.matches,
-        }]
-    )
-    if not witness.matches:
-        _warn(f"vt: family {args.name} witness failed verification\n")
-        return 1
-    return 0
+    payload = {
+        "family": witness.family.value,
+        "params": dict(witness.params),
+        "indices": [str(i) for i in witness.indices],
+        "values": [str(v) for v in witness.values],
+        "predicted_popcount": witness.predicted_popcount,
+        "actual_popcounts": list(witness.actual_popcounts),
+        "expect_vt": witness.expect_vt,
+        "matches": witness.matches,
+    }
+    return _write_claim(payload, witness.matches, f"family {args.name} witness failed verification")
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
@@ -433,26 +433,20 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
     from .analysis import bertrand_check
 
     report = bertrand_check(args.n)
-    _write_json_lines(
-        [{
-            "n": report.n,
-            "t_n": str(report.t_lo),
-            "t_2n": str(report.t_hi),
-            "witnesses": [str(w) for w in report.witnesses],
-            "theorem_witness": (
-                str(report.theorem_witness) if report.theorem_witness is not None else None
-            ),
-            "theorem_case": report.theorem_case,
-        }]
-    )
+    payload = {
+        "n": report.n,
+        "t_n": str(report.t_lo),
+        "t_2n": str(report.t_hi),
+        "witnesses": [str(w) for w in report.witnesses],
+        "theorem_witness": (
+            str(report.theorem_witness) if report.theorem_witness is not None else None
+        ),
+        "theorem_case": report.theorem_case,
+    }
     expected_nonempty = report.n in (4, 5, 6) or report.n > 9
-    if expected_nonempty and not report.witnesses:
-        _warn(
-            f"vt: no witness found in (t_{report.n}, t_{2 * report.n}), "
-            "contradicting the interval theorem\n"
-        )
-        return 1
-    return 0
+    failure = (f"no witness found in (t_{report.n}, t_{2 * report.n}), "
+               "contradicting the interval theorem")
+    return _write_claim(payload, bool(report.witnesses) or not expected_nonempty, failure)
 
 
 def _cmd_gaps(args: argparse.Namespace) -> int:
@@ -461,22 +455,18 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     from .analysis import gap_demonstration, gap_window
 
     report = gap_window(args.k) if args.k is not None else gap_demonstration(args.demonstrate)
-    _write_json_lines(
-        [{
-            "k": report.k,
-            "window": [str(report.window[0]), str(report.window[1])],
-            "member_popcounts": list(report.member_popcounts),
-            "all_non_vt": report.all_non_vt,
-            "power_offset_popcounts": {
-                str(m): pc for m, pc in report.power_offset_popcounts
-            },
-            "predictions_match": report.predictions_match,
-        }]
-    )
-    if not (report.all_non_vt and report.predictions_match):
-        _warn(f"vt: gap window for k = {report.k} failed verification\n")
-        return 1
-    return 0
+    payload = {
+        "k": report.k,
+        "window": [str(report.window[0]), str(report.window[1])],
+        "member_popcounts": list(report.member_popcounts),
+        "all_non_vt": report.all_non_vt,
+        "power_offset_popcounts": {
+            str(m): pc for m, pc in report.power_offset_popcounts
+        },
+        "predictions_match": report.predictions_match,
+    }
+    failure = f"gap window for k = {report.k} failed verification"
+    return _write_claim(payload, report.all_non_vt and report.predictions_match, failure)
 
 
 def _cmd_periodicity(args: argparse.Namespace) -> int:
@@ -494,11 +484,7 @@ def _cmd_periodicity(args: argparse.Namespace) -> int:
             "k": args.k,
             "holds": holds,
         }
-    _write_json_lines([payload])
-    if not holds:
-        _warn("vt: periodicity check failed\n")
-        return 1
-    return 0
+    return _write_claim(payload, holds, "periodicity check failed")
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
@@ -561,15 +547,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
     def _print_message(self, message: str, file: IO[str] | None = None) -> None:
-        # argparse drops a failed write's error: an unbuffered stdout that
-        # refused --help or --version would exit 0 with the text lost
-        if file is not sys.stdout:  # stderr; a closed stdout comes as None, as sys.stdout is
+        # --help and --version go through the one stdout writer, which
+        # reports a refused write: argparse's own write would drop its error
+        if file is sys.stdout:  # a closed stdout comes as None, as sys.stdout is
+            _write([message.encode()])
+        else:
             _warn(message)
-            return
-        try:
-            _stdout().write(message)
-        except OSError as exc:
-            _raise_write_error(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,9 +666,12 @@ def dispatch(argv: list[str]) -> int:
     except VerificationError as exc:
         _warn(f"vt: {exc}\n")
         return 1
+    except MemoryError as exc:  # arguments that need more memory than the process may have
+        _warn(f"vt: out of memory: {exc}\n" if str(exc) else "vt: out of memory\n")
+        return 2
 
 
-def _discard_stdout() -> None:
+def _discard_output() -> None:
     """Point stdout at the null device, so the exit flush of bytes nobody takes succeeds."""
     if sys.stdout is None:  # closed from the start: nothing to flush
         return
@@ -721,18 +707,13 @@ def main() -> None:
         sys.set_int_max_str_digits(0)
     try:
         code = dispatch(sys.argv[1:])
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()  # the text argparse printed, if any
-        except OSError as exc:
-            _raise_write_error(exc)
     except BrokenPipeError:
         # the reader went away (e.g. piped into head); not a failure
-        _discard_stdout()
+        _discard_output()
         code = 0
     except _OutputError as exc:
         _warn(f"vt: {exc}\n")
-        _discard_stdout()
+        _discard_output()
         code = 1
     except KeyboardInterrupt:
         # the writer thread may be blocked in a write no reader drains,

@@ -817,6 +817,44 @@ class TestStdoutInterface:
         assert bytes(out.data) == want
 
 
+class _BytesOnly:
+    """A stdout whose text layer refuses every write; its buffer takes the bytes."""
+
+    def __init__(self):
+        self.buffer = _WriteFlushOnly()
+
+    def write(self, text):
+        raise AssertionError(f"stdout's text layer was written: {text[:40]!r}")
+
+    def flush(self):
+        pass
+
+
+class TestOneStdoutWriter:
+    """Every stdout byte goes through cli._Stdout to sys.stdout.buffer, never through
+    the text layer: the text argparse prints for --help and --version too."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--version"],
+            ["--help"],
+            ["scan", "--help"],
+            ["check", "7"],
+            ["family", "even", "--ell", "2", "--n", "4"],
+            ["scan", "--from", "1", "--to", str(_CELL_ROWS + 1)],  # two pieces
+        ],
+    )
+    def test_every_byte_reaches_the_buffer(self, argv, capsysbinary, monkeypatch):
+        # pytest's capture takes both layers' bytes: the output as printed either way
+        code, want, _ = run_cli(argv, capsysbinary)
+        assert code == 0 and want
+        out = _BytesOnly()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert dispatch(list(argv)) == 0
+        assert bytes(out.buffer.data) == want
+
+
 class _FlushedOnly(_WriteFlushOnly):
     """A stdout whose bytes count as out only once flushed, as with a buffered pipe."""
 
@@ -1479,6 +1517,24 @@ class TestSubprocessSurface:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.decode() == f"vt: cannot use checkpoint {path}: not a regular file\n"
+
+    def test_out_of_memory_is_one_line_and_exit_2(self):
+        # the flags of the 4e9 indexes that differences up to 2e9 reach
+        # outgrow the child's 1 GB address space (`ulimit -v 1000000`)
+        resource = pytest.importorskip("resource")
+        cap = 1_000_000 * 1024
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        argv = ["ap", "--length", "3", "--from", "1", "--to", "10", "--max-diff", "2000000000"]
+        proc = subprocess.run([sys.executable, "-m", "vtnum", *argv], capture_output=True,
+                              preexec_fn=capped, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("vt: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert proc.stdout == b""
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
     def test_long_checkpoint_is_not_read(self, tmp_path):
